@@ -33,6 +33,10 @@ from .tgraph import (
 
 EXIT_YES, EXIT_NO, EXIT_ERROR = 0, 1, 2
 
+# Every click.echo here names file=sys.stdout.  Without it click caches a
+# wrapper per stream in a WeakKeyDictionary whose value holds its key, so
+# each in-process invocation (CliRunner) would keep its output buffer alive.
+
 
 def _load_graph(path: str) -> TemporalGraph:
     with open(path, "r", encoding="utf-8") as fh:
@@ -48,13 +52,13 @@ def _emit(fields: list[tuple[str, object]], as_json: bool) -> None:
                 obj.setdefault("perturb", []).append(val)
             else:
                 obj[k] = val
-        click.echo(json.dumps(obj, sort_keys=True))
+        click.echo(json.dumps(obj, sort_keys=True), file=sys.stdout)
     else:
         for key, val in fields:
             if isinstance(val, (list, tuple)):
-                click.echo(f"{key} " + " ".join(str(x) for x in val))
+                click.echo(f"{key} " + " ".join(str(x) for x in val), file=sys.stdout)
             else:
-                click.echo(f"{key} {val}")
+                click.echo(f"{key} {val}", file=sys.stdout)
 
 
 def _result_fields(res: SolveResult) -> list[tuple[str, object]]:
@@ -78,9 +82,9 @@ def _finish(res: SolveResult, as_json: bool) -> None:
 
 def _refuse(reason: str, as_json: bool) -> None:
     if as_json:
-        click.echo(json.dumps({"refused": reason}))
+        click.echo(json.dumps({"refused": reason}), file=sys.stdout)
     else:
-        click.echo(f"REFUSED {reason}")
+        click.echo(f"REFUSED {reason}", file=sys.stdout)
     sys.exit(EXIT_ERROR)
 
 
@@ -100,9 +104,8 @@ def main() -> None:
     type=click.Choice(["auto", "degree", "bigzeta", "tree", "treewidth", "xp", "oracle"]),
 )
 @click.option("--decomp", "decomp_path", type=click.Path(exists=True))
-@click.option("--jobs", default=1, type=click.IntRange(min=1))
 @click.option("--json", "as_json", is_flag=True)
-def trlp(graph_path, delta, zeta, h, strategy, decomp_path, jobs, as_json) -> None:
+def trlp(graph_path, delta, zeta, h, strategy, decomp_path, as_json) -> None:
     """Can some vertex reach at least h vertices after at most zeta moves?"""
     try:
         g = _load_graph(graph_path)
@@ -112,7 +115,7 @@ def trlp(graph_path, delta, zeta, h, strategy, decomp_path, jobs, as_json) -> No
             with open(decomp_path, "r", encoding="utf-8") as fh:
                 decomp = twdp.parse_decomposition(fh.read())
         caps = WorkCaps.from_env()
-        res = solve_trlp(inst, strategy=strategy, decomposition=decomp, caps=caps, jobs=jobs)
+        res = solve_trlp(inst, strategy=strategy, decomposition=decomp, caps=caps)
     except CapExceeded as exc:
         _refuse(str(exc), as_json)
     except (FormatError, PerturbationError, ValueError, twdp.DecompositionError) as exc:
@@ -167,7 +170,10 @@ def reach(graph_path, source, as_json) -> None:
     except FormatError as exc:
         _refuse(str(exc), as_json)
     if source is None:
-        src, count = max_reachability(g)
+        try:
+            src, count = max_reachability(g)
+        except ValueError as exc:
+            _refuse(str(exc), as_json)
         _emit([("RMAX", count), ("SOURCE", src)], as_json)
         sys.exit(EXIT_YES)
     try:
@@ -191,7 +197,7 @@ def _write_out(text: str, out: Optional[str]) -> None:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
-        click.echo(text, nl=False)
+        click.echo(text, nl=False, file=sys.stdout)
 
 
 @gen.command("domset")
@@ -294,6 +300,8 @@ def verify(graph_path, pert_path, source, h, variant, k, as_json) -> None:
         g = _load_graph(graph_path)
         with open(pert_path, "r", encoding="utf-8") as fh:
             p = parse_perturbation(fh.read())
+        if not (0 <= source < g.n):
+            raise ValueError(f"source {source} out of range")
         perturbed = apply_perturbation(g, p)
         moved = validate_relabelling(g, perturbed, p.delta)
     except (FormatError, PerturbationError, ValueError) as exc:

@@ -1,14 +1,17 @@
 """Solvers for reachability maximisation under bounded timing perturbations.
 
 * ``solve_trp``: unlimited-count perturbations.  Expanding every label by
-  ±delta and taking a foremost-path tree gives pointwise-minimal arrivals over
-  all delta-perturbations; the tree is realised by moving one appearance per
-  tree edge.
+  ±delta gives pointwise-minimal arrivals over all delta-perturbations; one
+  all-sources sweep (``reach.reach_counts``) finds the best count and the
+  smallest source attaining it, and that source's foremost-path tree is
+  realised by moving one appearance per tree edge.
 * ``explore_with_perturbable_set``: given the exact set of edges that may be
   re-timed, a priority-queue exploration computes the best reach from one
   source.
-* ``solve_trlp_xp``: exact bounded-count answer by enumerating every source
-  and every perturbable edge subset of size <= zeta.
+* ``solve_trlp_xp``: exact bounded-count answer over every perturbable edge
+  subset of size <= zeta, one all-sources sweep per subset.  The tie-break
+  is unchanged from a per-source scan: smallest source, then its first
+  subset in lex order; one exploration of that cell gives the certificate.
 * ``solve_trlp_big_zeta``: when zeta >= h-1 the bounded problem collapses to
   the unlimited one; the certificate is thinned to at most h-1 moves.
 * ``solve_trlp``: strategy dispatcher.
@@ -21,10 +24,8 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterator, Optional
 
-import numpy as np
-
 from .limits import CapExceeded, WorkCaps, DEFAULT_CAPS
-from .reach import arrivals, reach_set
+from .reach import arrivals, reach_counts, reach_set
 from .tgraph import (
     Perturbation,
     TemporalGraph,
@@ -157,34 +158,8 @@ def certificate_from_exploration(
 
 
 def _expanded_reach_counts(g: TemporalGraph, delta: int) -> list[int]:
-    """Per-source reach counts when every label may move by ±delta: a
-    time-layer sweep over the ±delta-expanded activity windows."""
-    if g.n == 0:
-        return []
-    horizon = g.lifetime + delta
-    if not g.edges:
-        return [1] * g.n
-    m = len(g.edges)
-    us = np.fromiter((e[0] for e in g.edges), dtype=np.int64, count=m)
-    vs = np.fromiter((e[1] for e in g.edges), dtype=np.int64, count=m)
-    heads = np.concatenate([us, vs])
-    tails = np.concatenate([vs, us])
-    active = np.zeros((m, horizon + 1), dtype=bool)
-    for i, ts in enumerate(g.labels):
-        for t in ts:
-            active[i, max(1, t - delta) : t + delta + 1] = True
-    active2 = np.concatenate([active, active])
-    unreached_sentinel = horizon + 1
-    counts = []
-    for s in range(g.n):
-        arr = np.full(g.n, unreached_sentinel, dtype=np.int64)
-        arr[s] = 0
-        for t in range(1, horizon + 1):
-            mask = active2[:, t] & (arr[heads] < t) & (arr[tails] == unreached_sentinel)
-            if mask.any():
-                arr[tails[mask]] = t
-        counts.append(int((arr < unreached_sentinel).sum()))
-    return counts
+    """Per-source reach counts when every label may move by ±delta."""
+    return reach_counts(g, delta)
 
 
 def solve_trp(g: TemporalGraph, delta: int, h: int) -> SolveResult:
@@ -230,44 +205,46 @@ def xp_work_estimate(g: TemporalGraph, zeta: int) -> int:
     return subsets * max(1, g.n) * (2 * m + 2)
 
 
-def solve_trlp_xp(
-    inst: TrlpInstance,
-    caps: WorkCaps = DEFAULT_CAPS,
-    sources: Optional[range] = None,
-) -> SolveResult:
-    """Exact answer by exploring every (source, perturbable subset of size
-    <= zeta) cell; first yes in (source asc, subset lex) order wins.
+def solve_trlp_xp(inst: TrlpInstance, caps: WorkCaps = DEFAULT_CAPS) -> SolveResult:
+    """Exact answer over every (source, perturbable subset of size <= zeta)
+    cell; the first yes in (source asc, subset lex) order wins.
 
-    A per-source pre-pass with every edge perturbable prunes sources whose
-    optimum already falls short (the exploration optimum is monotone in the
-    perturbable set)."""
-    g, zeta, h = inst.graph, inst.zeta, inst.h
+    Each subset costs one all-sources sweep (``reach_counts`` with the subset
+    widened).  A pre-pass sweep with every edge widened bounds each source
+    from above (the exploration optimum is monotone in the perturbable set),
+    so sources below h never win.  Subsets are swept in lex order, noting for
+    each source the first subset at which it reaches h, until the smallest
+    unpruned source has won or the subsets run out.  The smallest noted source
+    and its first subset are the cell the per-source scan would stop at; one
+    ``_explore`` of that cell builds the certificate.  On a no, reach_count is
+    the best count over every source and subset: the bounded optimum."""
+    g, delta, zeta, h = inst.graph, inst.delta, inst.zeta, inst.h
     est = xp_work_estimate(g, zeta)
     if est > caps.xp_ops:
         raise CapExceeded(
             f"xp enumeration needs ~{est} queue operations, cap is {caps.xp_ops}"
         )
     m = len(g.edges)
+    upper = reach_counts(g, delta)
+    live = [s for s in range(g.n) if upper[s] >= h]
+    first: dict[int, tuple[int, ...]] = {}
     best_count = 0
-    scan = sources if sources is not None else range(g.n)
-    for source in scan:
-        upper = _explore(g, source, inst.delta, ALL_EDGES).count()
-        if upper < h:
-            # no subset can do better than all-perturbable; keep the plain
-            # reach as the reported baseline for this source
-            plain = _explore(g, source, inst.delta, frozenset()).count()
-            best_count = max(best_count, plain)
-            continue
-        for subset in _lex_subsets(m, min(zeta, m)):
-            exp = _explore(g, source, inst.delta, frozenset(subset))
-            c = exp.count()
-            if c >= h:
-                cert = certificate_from_exploration(g, exp, inst.delta, inst.zeta)
-                assert cert.perturbed_count <= zeta
-                return SolveResult(
-                    True, "xp", source=source, reach_count=c, perturbation=cert
-                )
-            best_count = max(best_count, c)
+    for subset in _lex_subsets(m, min(zeta, m)):
+        counts = reach_counts(g, delta, subset)
+        for s in live:
+            if s not in first and counts[s] >= h:
+                first[s] = subset
+        if live and live[0] in first:
+            break
+        best_count = max(best_count, max(counts))
+    if first:
+        source = min(first)
+        exp = _explore(g, source, delta, frozenset(first[source]))
+        cert = certificate_from_exploration(g, exp, delta, zeta)
+        assert cert.perturbed_count <= zeta
+        return SolveResult(
+            True, "xp", source=source, reach_count=exp.count(), perturbation=cert
+        )
     return SolveResult(False, "xp", reach_count=best_count)
 
 
@@ -332,7 +309,6 @@ def solve_trlp(
     strategy: str = "auto",
     decomposition=None,
     caps: WorkCaps = DEFAULT_CAPS,
-    jobs: int = 1,
 ) -> SolveResult:
     """Strategy dispatcher.  ``auto`` order: neighbourhood bound, big-zeta,
     tree DP, treewidth DP (when a small decomposition is available and the
@@ -341,7 +317,7 @@ def solve_trlp(
 
     g = inst.graph
     if strategy != "auto":
-        return _run_strategy(inst, strategy, decomposition, caps, jobs)
+        return _run_strategy(inst, strategy, decomposition, caps)
     if inst.h <= g.max_degree() + 1:
         return _obs1_result(inst)
     if inst.zeta >= inst.h - 1:
@@ -360,7 +336,7 @@ def solve_trlp(
         except CapExceeded:
             pass
     try:
-        return solve_trlp_xp_parallel(inst, caps, jobs)
+        return solve_trlp_xp(inst, caps)
     except CapExceeded:
         pass
     from . import testkit
@@ -372,7 +348,7 @@ def solve_trlp(
     raise CapExceeded("instance too large for exact solve")
 
 
-def _run_strategy(inst, strategy, decomposition, caps, jobs) -> SolveResult:
+def _run_strategy(inst, strategy, decomposition, caps) -> SolveResult:
     from . import treedp, twdp
 
     if strategy == "degree":
@@ -389,54 +365,9 @@ def _run_strategy(inst, strategy, decomposition, caps, jobs) -> SolveResult:
             decomp = twdp.decompose_exact_small(inst.graph.n, inst.graph.edges)
         return twdp.solve_trlp_treewidth(inst, decomp, caps=caps)
     if strategy == "xp":
-        return solve_trlp_xp_parallel(inst, caps, jobs)
+        return solve_trlp_xp(inst, caps)
     if strategy == "oracle":
         from . import testkit
 
         return testkit.oracle_trlp(inst, caps=caps)
     raise ValueError(f"unknown strategy {strategy!r}")
-
-
-def _xp_worker(args) -> Optional[tuple[int, SolveResult]]:
-    text, delta, zeta, h, lo, hi = args
-    from .tgraph import parse_graph
-
-    g = parse_graph(text)
-    inst = TrlpInstance(g, delta, zeta, h)
-    res = solve_trlp_xp(inst, sources=range(lo, hi))
-    return (res.source, res) if res.answer else (None, res)
-
-
-def solve_trlp_xp_parallel(
-    inst: TrlpInstance, caps: WorkCaps = DEFAULT_CAPS, jobs: int = 1
-) -> SolveResult:
-    """XP enumeration, optionally sharded over sources; the reduction picks the
-    smallest winning source so results are identical to the serial scan."""
-    if jobs <= 1 or inst.graph.n <= 1:
-        return solve_trlp_xp(inst, caps)
-    est = xp_work_estimate(inst.graph, inst.zeta)
-    if est > caps.xp_ops:
-        raise CapExceeded(
-            f"xp enumeration needs ~{est} queue operations, cap is {caps.xp_ops}"
-        )
-    from concurrent.futures import ProcessPoolExecutor
-
-    from .tgraph import serialize_graph
-
-    n = inst.graph.n
-    text = serialize_graph(inst.graph)
-    chunk = (n + jobs - 1) // jobs
-    tasks = [
-        (text, inst.delta, inst.zeta, inst.h, lo, min(lo + chunk, n))
-        for lo in range(0, n, chunk)
-    ]
-    best_yes: Optional[SolveResult] = None
-    best_count = 0
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for src, res in pool.map(_xp_worker, tasks):
-            if src is not None and (best_yes is None or src < best_yes.source):
-                best_yes = res
-            best_count = max(best_count, res.reach_count or 0)
-    if best_yes is not None:
-        return best_yes
-    return SolveResult(False, "xp", reach_count=best_count)

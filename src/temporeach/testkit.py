@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Optional
 
 from . import ecc as eccmod
 from .limits import CapExceeded, WorkCaps, DEFAULT_CAPS
-from .reach import arrivals
+from .reach import arrivals, reach_counts
 from .solvers import SolveResult, TrlpInstance
 from .tgraph import Edge, Perturbation, TemporalGraph
 
@@ -267,20 +267,10 @@ def enumerate_perturbations(
 
 
 def _scan_sources(g: TemporalGraph, h: int) -> tuple[Optional[int], int]:
-    """(smallest source reaching >= h or None, best count seen)."""
-    best = 0
-    for s in range(g.n):
-        c = sum(1 for a in arrivals(g, s) if a is not None)
-        best = max(best, c)
-        if c >= h:
-            return s, c
-    return None, best
-
-
-def max_count(g: TemporalGraph) -> int:
-    return max(
-        sum(1 for a in arrivals(g, s) if a is not None) for s in range(g.n)
-    )
+    """(smallest source reaching >= h or None, its count or the best count)."""
+    counts = reach_counts(g)
+    src = next((s for s, c in enumerate(counts) if c >= h), None)
+    return src, counts[src] if src is not None else max(counts, default=0)
 
 
 def _check_cap(g: TemporalGraph, delta: int, zeta: int, caps: WorkCaps) -> None:
@@ -296,7 +286,11 @@ def oracle_trlp(
 ) -> SolveResult:
     """Literal enumeration of the whole perturbation space (optionally only
     the edges in ``eset``); exact answer with the first witnessing
-    perturbation in enumeration order."""
+    perturbation in enumeration order.
+
+    On a no, reach_count is only the best count among the candidates the
+    scan visited: pruned branches are never completed, so it can fall below
+    the true optimum (``oracle_trlp_max_reach`` gives that)."""
     g = inst.graph
     _check_cap(g, inst.delta, inst.zeta, caps)
     found: list = []
@@ -339,7 +333,7 @@ def oracle_trlp_max_reach(
     best = [0]
 
     def visit(_p: Perturbation, pg: TemporalGraph) -> bool:
-        best[0] = max(best[0], max_count(pg))
+        best[0] = max(best[0], *reach_counts(pg))
         return best[0] == g.n
 
     scan_perturbations(
@@ -347,7 +341,7 @@ def oracle_trlp_max_reach(
         delta,
         zeta,
         eset=eset,
-        keep=lambda relaxed: max_count(relaxed) > best[0],
+        keep=lambda relaxed: max(reach_counts(relaxed)) > best[0],
         on_complete=visit,
     )
     return best[0]

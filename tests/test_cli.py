@@ -1,7 +1,8 @@
+import gc
 import json
 
 import pytest
-from click.testing import CliRunner
+from click.testing import CliRunner, _NamedTextIOWrapper
 
 from temporeach.cli import main
 
@@ -182,9 +183,37 @@ def test_parse_error_exit_two(runner, tmp_path):
     assert "REFUSED" in res.output
 
 
-def test_jobs_flag_identical_output(runner, tmp_path):
-    gpath = write(tmp_path, "g.tg", CHAIN4_TG)
-    base = ["trlp", "-g", gpath, "--delta", "1", "--zeta", "1", "--h", "4", "--strategy", "xp"]
-    one = runner.invoke(main, base + ["--jobs", "1"])
-    two = runner.invoke(main, base + ["--jobs", "2"])
-    assert one.output == two.output and one.exit_code == two.exit_code
+def test_reach_empty_graph_refused(runner, tmp_path):
+    gpath = write(tmp_path, "empty.tg", "n 0\n")
+    res = runner.invoke(main, ["reach", "-g", gpath])
+    assert res.exit_code == 2
+    assert res.output.startswith("REFUSED ")
+
+
+@pytest.mark.parametrize(
+    "source, check",
+    [
+        ("7", ["--h", "1"]),
+        ("-1", ["--h", "3"]),
+        ("-1", ["--variant", "shortest", "-k", "5"]),
+    ],
+)
+def test_verify_source_out_of_range_refused(runner, tmp_path, source, check):
+    gpath = write(tmp_path, "g.tg", PATH_TG)
+    ppath = write(tmp_path, "p.txt", "delta 0\nzeta 0\n")
+    res = runner.invoke(main, ["verify", "-g", gpath, "-p", ppath, "--source", source, *check])
+    assert res.exit_code == 2, res.output
+    assert res.output.startswith("REFUSED ")
+
+
+def test_invocations_leave_no_output_stream_alive(runner, tmp_path):
+    gpath = write(tmp_path, "g.tg", PATH_TG)
+
+    def live_wrappers():
+        gc.collect()
+        return sum(isinstance(o, _NamedTextIOWrapper) for o in gc.get_objects())
+
+    before = live_wrappers()
+    for args in (["reach", "-g", gpath], ["trp", "-g", gpath, "--delta", "1", "--h", "3"]) * 3:
+        assert runner.invoke(main, args).exit_code == 0
+    assert live_wrappers() == before

@@ -1,6 +1,9 @@
 import itertools
+import random
+import time
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,9 +11,12 @@ from temporeach.reach import (
     arrivals,
     foremost_tree,
     max_reachability,
+    reach_counts,
     reach_set,
     sparsify_for_source,
 )
+from temporeach.cli import main
+from temporeach.solvers import ALL_EDGES, _explore
 from temporeach.tgraph import TemporalGraph, parse_graph
 
 from test_tgraph import temporal_graphs
@@ -144,3 +150,44 @@ def test_source_out_of_range():
     g = parse_graph("n 2\ne 0 1 1")
     with pytest.raises(ValueError):
         foremost_tree(g, 5)
+
+
+def seeded_micro_graph(rng: random.Random) -> TemporalGraph:
+    """Up to 7 vertices, up to three labels per edge, labels 1..6 so that
+    windows of delta up to 3 get clipped at 1."""
+    n = rng.randint(1, 7)
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = sorted(rng.sample(pairs, rng.randint(0, min(len(pairs), 9))))
+    labels = tuple(tuple(sorted(rng.sample(range(1, 7), rng.randint(1, 3)))) for _ in edges)
+    return TemporalGraph(n, tuple(edges), labels)
+
+
+def test_reach_counts_match_single_source_exploration():
+    # the priority-queue exploration is a different algorithm for the same
+    # quantity: one source at a time, forwards in time
+    rng = random.Random(2026_10)
+    for _ in range(400):
+        g = seeded_micro_graph(rng)
+        m = len(g.edges)
+        subset = frozenset(i for i in range(m) if rng.random() < 0.4)
+        cases = [(0, None, frozenset())]
+        for d in (1, 2, 3):
+            cases += [(d, None, ALL_EDGES), (d, subset, subset)]
+        for d, widened, eset in cases:
+            want = [_explore(g, s, d, eset).count() for s in range(g.n)]
+            assert reach_counts(g, d, widened) == want, (g, d, widened)
+
+
+def test_large_time_labels_take_no_extra_work(tmp_path):
+    # labels near a Unix timestamp: the work must follow the number of
+    # labels, not their size
+    t = 1_700_000_000
+    gpath = tmp_path / "g.tg"
+    gpath.write_text(f"n 4\ne 0 1 {t} {t + 7}\ne 1 2 {t + 1}\ne 2 3 {t + 3}\n")
+    runner = CliRunner()
+    start = time.perf_counter()
+    trp = runner.invoke(main, ["trp", "-g", str(gpath), "--delta", "2", "--h", "4"])
+    best = runner.invoke(main, ["reach", "-g", str(gpath)])
+    assert time.perf_counter() - start < 1.0
+    assert trp.exit_code == 0 and "REACH 4" in trp.output
+    assert best.exit_code == 0 and best.output.splitlines() == ["RMAX 4", "SOURCE 0"]

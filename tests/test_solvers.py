@@ -142,6 +142,15 @@ def test_xp_matches_oracle(g, delta, zeta, h):
         assert got.perturbation.perturbed_count <= zeta
 
 
+def test_xp_no_reports_bounded_optimum():
+    # sources 0, 1, 3 and 4 fail the all-perturbable pre-pass, yet reach 4
+    # with one move; a no must report the best over all sources and subsets
+    g = parse_graph("n 5\ne 0 1 2\ne 1 2 3\ne 2 3 3\ne 3 4 2")
+    res = solve_trlp_xp(TrlpInstance(g, 1, 1, 5))
+    assert not res.answer
+    assert res.reach_count == oracle_trlp_max_reach(g, 1, 1) == 4
+
+
 def test_xp_deterministic():
     g = parse_graph("n 4\ne 0 1 2\ne 0 2 2\ne 1 3 2\ne 2 3 2")
     inst = TrlpInstance(g, 1, 1, 4)
