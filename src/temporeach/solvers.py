@@ -138,6 +138,20 @@ def _nearest_origin_label(labels: tuple[int, ...], target: int, delta: int) -> i
     return best[1]
 
 
+def _certified_yes(
+    inst: TrlpInstance, strategy: str, source: int, records, shift: dict[int, int]
+) -> SolveResult:
+    """Yes result from ``records`` found on ``compress_time``'s graph: their
+    times are shifted back and the certificate is checked on ``inst.graph``."""
+    cert = Perturbation(inst.delta, inst.zeta, tuple(
+        (e, old + shift[old], new + shift[old]) for e, old, new in records
+    ))
+    perturbed = apply_perturbation(inst.graph, cert)
+    count = sum(1 for a in arrivals(perturbed, source) if a is not None)
+    assert count >= inst.h
+    return SolveResult(True, strategy, source=source, reach_count=count, perturbation=cert)
+
+
 def certificate_from_exploration(
     g: TemporalGraph, exp: Exploration, delta: int, zeta: int
 ) -> Perturbation:
@@ -200,9 +214,10 @@ def _lex_subsets(m: int, max_size: int) -> Iterator[tuple[int, ...]]:
 
 
 def xp_work_estimate(g: TemporalGraph, zeta: int) -> int:
+    """Subsets of size <= zeta times one all-sources sweep (time-edges + n)."""
     m = len(g.edges)
     subsets = sum(comb(m, j) for j in range(min(zeta, m) + 1))
-    return subsets * max(1, g.n) * (2 * m + 2)
+    return subsets * (g.num_time_edges() + g.n)
 
 
 def solve_trlp_xp(inst: TrlpInstance, caps: WorkCaps = DEFAULT_CAPS) -> SolveResult:
@@ -222,7 +237,7 @@ def solve_trlp_xp(inst: TrlpInstance, caps: WorkCaps = DEFAULT_CAPS) -> SolveRes
     est = xp_work_estimate(g, zeta)
     if est > caps.xp_ops:
         raise CapExceeded(
-            f"xp enumeration needs ~{est} queue operations, cap is {caps.xp_ops}"
+            f"xp enumeration needs ~{est} sweep operations, cap is {caps.xp_ops}"
         )
     m = len(g.edges)
     upper = reach_counts(g, delta)

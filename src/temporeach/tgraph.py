@@ -309,6 +309,26 @@ def apply_perturbation(g: TemporalGraph, p: Perturbation) -> TemporalGraph:
     return g.with_labels(new_labels)
 
 
+def compress_time(g: TemporalGraph, delta: int) -> tuple[TemporalGraph, dict[int, int]]:
+    """Order-preserving time compression for ±delta re-timings.
+
+    Walks the sorted distinct labels, with a virtual label 0 in front, and
+    shrinks every gap wider than 2*delta+1 to exactly 2*delta+1.  Every window
+    [max(1, t-delta), t+delta] keeps its order, its overlaps and its clipping
+    at 1, and distances inside a run of close labels are unchanged, so strict
+    journeys, minimal matchings and nearest origins are the same on both
+    graphs.  Returns the compressed graph and, per compressed label, the
+    shift that maps it, and any time within delta of it, back.
+    """
+    new: dict[int, int] = {}
+    prev = cur = 0
+    for t in sorted({t for ts in g.labels for t in ts}):
+        cur += min(t - prev, 2 * delta + 1)
+        new[t], prev = cur, t
+    labels = tuple(tuple(new[t] for t in ts) for ts in g.labels)
+    return TemporalGraph(g.n, g.edges, labels), {c: t - c for t, c in new.items()}
+
+
 def _aligned_feasible(old: tuple[int, ...], new: tuple[int, ...], delta: int) -> bool:
     return all(abs(a - b) <= delta and b >= 1 for a, b in zip(old, new))
 

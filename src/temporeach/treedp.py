@@ -10,29 +10,19 @@ label t1 > t and continue with c's value at t1+1; or spend one re-timing to
 use vc at the earliest reachable t2 > t and continue at t2+1.  One pair per
 child is chosen to maximise total gain under each budget, which is exactly
 the multiple-choice knapsack.
+
+The DP runs on ``compress_time``'s copy of the graph, so its time axis has
+horizon <= (distinct labels) * (2*delta+1) + delta whatever the size of the
+labels; the certificate is mapped back and checked on the original graph.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
-from .reach import arrivals
-from .solvers import SolveResult, TrlpInstance, _nearest_origin_label
-from .tgraph import (
-    Perturbation,
-    TemporalGraph,
-    apply_perturbation,
-    next_expanded_after,
-    next_label_after,
-)
-
-
-@dataclass(frozen=True)
-class TreeState:
-    zeta_v: int
-    r_v: int
-    t_v: int
+from .solvers import SolveResult, TrlpInstance, _certified_yes, _nearest_origin_label
+from .tgraph import TemporalGraph, compress_time, next_expanded_after, next_label_after
 
 
 @dataclass(frozen=True)
@@ -167,17 +157,6 @@ def _value_tables(inst: TrlpInstance, source: int) -> tuple[list, list, list]:
     return value, post, children
 
 
-def maximal_states(inst: TrlpInstance, source: int, v: int) -> list[TreeState]:
-    """All maximally valid (budget, reach, departure) states of v."""
-    value, _, _ = _value_tables(inst, source)
-    horizon = inst.graph.lifetime + inst.delta
-    return [
-        TreeState(z, value[v][z][t], t)
-        for z in range(inst.zeta + 1)
-        for t in range(horizon + 1)
-    ]
-
-
 def _reconstruct(
     inst: TrlpInstance, value: list, children: list, v: int, z: int, t: int,
     records: list,
@@ -215,18 +194,15 @@ def _reconstruct(
 
 def solve_trlp_tree(inst: TrlpInstance, source: int) -> SolveResult:
     """Exact answer for one source on a tree-shaped instance."""
-    g = inst.graph
-    value, _post, children = _value_tables(inst, source)
+    g, shift = compress_time(inst.graph, inst.delta)
+    small = replace(inst, graph=g)
+    value, _post, children = _value_tables(small, source)
     score = value[source][inst.zeta][0]
     if score < inst.h:
         return SolveResult(False, "tree", source=source, reach_count=score)
     records: list = []
-    _reconstruct(inst, value, children, source, inst.zeta, 0, records)
-    cert = Perturbation(inst.delta, inst.zeta, tuple(sorted(records)))
-    perturbed = apply_perturbation(g, cert)
-    count = sum(1 for a in arrivals(perturbed, source) if a is not None)
-    assert count >= inst.h
-    return SolveResult(True, "tree", source=source, reach_count=count, perturbation=cert)
+    _reconstruct(small, value, children, source, inst.zeta, 0, records)
+    return _certified_yes(inst, "tree", source, records, shift)
 
 
 def solve_trlp_tree_all_sources(inst: TrlpInstance) -> SolveResult:

@@ -10,29 +10,27 @@ appearances on edges with a forgotten endpoint.  Leaf/introduce/forget/join
 rules derive parent states constructively from child states, so enumeration
 is over (bag-edge image choices x child-state combinations) only.
 
-Scoped to micro parameters; a per-node candidate cap triggers a refusal.
+The DP runs on ``compress_time``'s copy of the graph, so departure and
+arrival times range over 0..horizon with horizon <= (distinct labels) *
+(2*delta+1) + delta whatever the size of the labels; the certificate is mapped
+back and checked on the original graph.
+
+Scoped to micro parameters: one candidate counter spans the whole call, over
+every source, and exceeding ``caps.tw_states`` triggers a refusal.
 """
 
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import ceil, log2
 from typing import NamedTuple, Optional
 
 from .limits import CapExceeded, WorkCaps, DEFAULT_CAPS
-from .reach import arrivals
-from .solvers import SolveResult, TrlpInstance
-from .tgraph import (
-    Edge,
-    Perturbation,
-    TemporalGraph,
-    apply_perturbation,
-    matching_records,
-    minimal_moves,
-)
+from .solvers import SolveResult, TrlpInstance, _certified_yes
+from .tgraph import Edge, compress_time, matching_records, minimal_moves
 
 
 class DecompositionError(ValueError):
@@ -695,21 +693,9 @@ def _join_states(
     return out
 
 
-def valid_states(
-    inst: TrlpInstance,
-    nice: NiceDecomposition,
-    node_id: int,
-    child_state_sets: tuple[dict, ...],
-    caps: WorkCaps = DEFAULT_CAPS,
-    counter: Optional[list[int]] = None,
-) -> dict[TwState, tuple]:
+def _node_states(ctx, nice, node_id, child_state_sets, counter):
     """All valid states of one nice-decomposition node given its children's
     state sets (keys are states; values are witnessing child-state tuples)."""
-    ctx = _Ctx(inst, caps)
-    return _node_states(ctx, nice, node_id, child_state_sets, counter or [0])
-
-
-def _node_states(ctx, nice, node_id, child_state_sets, counter):
     node = nice.nodes[node_id]
     if node.kind == "leaf":
         return {_leaf_state(ctx): ()}
@@ -727,10 +713,9 @@ def _node_states(ctx, nice, node_id, child_state_sets, counter):
 
 
 def _solve_for_source(
-    inst: TrlpInstance, nice: NiceDecomposition, source: int, caps: WorkCaps
-) -> Optional[SolveResult]:
-    ctx = _Ctx(inst, caps)
-    counter = [0]
+    ctx: _Ctx, nice: NiceDecomposition, source: int, counter: list[int]
+) -> Optional[list]:
+    """Moved-appearance records of the first accepted root state, or None."""
     states: list[dict[TwState, tuple]] = []
     for node_id, node in enumerate(nice.nodes):
         kids = tuple(states[c] for c in node.children)
@@ -744,29 +729,22 @@ def _solve_for_source(
     zero = uidx[(0,)]
     accepted = None
     for key in sorted(states[root]):
-        if key.r_below[zero] >= inst.h - 1:
+        if key.r_below[zero] >= ctx.h - 1:
             accepted = key
             break
     if accepted is None:
         return None
-    images = _collect_images(inst, nice, states, accepted)
+    images = _collect_images(ctx, nice, states, accepted)
     records = []
     for e, image in sorted(images.items()):
-        ei = inst.graph.edge_index[e]
-        if image != inst.graph.labels[ei]:
-            recs = matching_records(e, inst.graph.labels[ei], image, inst.delta)
+        ei = ctx.g.edge_index[e]
+        if image != ctx.g.labels[ei]:
+            recs = matching_records(e, ctx.g.labels[ei], image, ctx.delta)
             records.extend(r for r in recs if r[1] != r[2])
-    cert = Perturbation(inst.delta, inst.zeta, tuple(sorted(records)))
-    perturbed = apply_perturbation(inst.graph, cert)
-    count = sum(1 for a in arrivals(perturbed, source) if a is not None)
-    assert count >= inst.h
-    return SolveResult(
-        True, "treewidth", source=source, reach_count=count, perturbation=cert
-    )
+    return records
 
 
-def _collect_images(inst, nice, states, root_key) -> dict[Edge, tuple[int, ...]]:
-    ctx = _Ctx(inst, DEFAULT_CAPS)
+def _collect_images(ctx, nice, states, root_key) -> dict[Edge, tuple[int, ...]]:
     images: dict[Edge, tuple[int, ...]] = {}
     stack = [(nice.root, root_key)]
     while stack:
@@ -779,7 +757,7 @@ def _collect_images(inst, nice, states, root_key) -> dict[Edge, tuple[int, ...]]
         witness = states[node_id][key]
         for child_id, child_key in zip(node.children, witness):
             stack.append((child_id, child_key))
-    for e, ts in zip(inst.graph.edges, inst.graph.labels):
+    for e, ts in zip(ctx.g.edges, ctx.g.labels):
         images.setdefault(e, ts)
     return images
 
@@ -789,11 +767,14 @@ def solve_trlp_treewidth(
     decomp: TreeDecomposition,
     caps: WorkCaps = DEFAULT_CAPS,
 ) -> SolveResult:
-    """Exact answer over all sources; smallest yes-source wins."""
-    g = inst.graph
+    """Exact answer over all sources; smallest yes-source wins.
+    ``caps.tw_states`` bounds the candidates of the whole call."""
+    g, shift = compress_time(inst.graph, inst.delta)
+    ctx = _Ctx(replace(inst, graph=g), caps)
+    counter = [0]
     for source in range(g.n):
         nice = make_nice(decomp, source, g.n, g.edges)
-        res = _solve_for_source(inst, nice, source, caps)
-        if res is not None:
-            return res
+        records = _solve_for_source(ctx, nice, source, counter)
+        if records is not None:
+            return _certified_yes(inst, "treewidth", source, records, shift)
     return SolveResult(False, "treewidth")

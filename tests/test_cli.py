@@ -9,6 +9,9 @@ from temporeach.cli import main
 PATH_TG = "n 3\ne 0 1 2\ne 1 2 1\n"
 CHAIN4_TG = "n 4\ne 0 1 2\ne 1 2 2\ne 2 3 2\n"
 FIG_STATIC = "n 5\ne 0 1\ne 0 3\ne 1 3\ne 1 4\ne 2 4\n"
+# labels >= 2 (= delta+1), so shifting them never meets the floor of 1
+DP_TREE_TG = "n 6\ne 0 1 4 20\ne 1 2 3\ne 1 3 21\ne 3 4 20\ne 4 5 9 40\n"
+DP_CYCLE_TG = "n 5\ne 0 1 3\ne 0 4 2\ne 1 2 3\ne 2 3 12\ne 3 4 12\n"
 
 
 @pytest.fixture
@@ -217,3 +220,46 @@ def test_invocations_leave_no_output_stream_alive(runner, tmp_path):
     for args in (["reach", "-g", gpath], ["trp", "-g", gpath, "--delta", "1", "--h", "3"]) * 3:
         assert runner.invoke(main, args).exit_code == 0
     assert live_wrappers() == before
+
+
+def shift_labels(text, offset):
+    lines = []
+    for line in text.splitlines():
+        parts = line.split()
+        if parts[0] == "e":
+            parts[3:] = [str(int(t) + offset) for t in parts[3:]]
+        lines.append(" ".join(parts))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "text, strategy, zeta, h",
+    [
+        (DP_TREE_TG, "tree", 2, 6),
+        (DP_TREE_TG, "tree", 1, 6),
+        (DP_CYCLE_TG, "treewidth", 1, 5),
+        (DP_CYCLE_TG, "treewidth", 0, 5),
+    ],
+    ids=["tree-yes", "tree-no", "cycle-yes", "cycle-no"],
+)
+def test_dp_answers_follow_shifted_labels(runner, tmp_path, text, strategy, zeta, h):
+    # labels near a Unix timestamp: the DPs run on compressed time, so the
+    # output is the same apart from PERTURB times, shifted by the offset
+    offset = 1_700_000_000
+    outs = []
+    for name, body in (("base.tg", text), ("shifted.tg", shift_labels(text, offset))):
+        args = ["trlp", "-g", write(tmp_path, name, body), "--delta", "1",
+                "--zeta", str(zeta), "--h", str(h), "--strategy", strategy]
+        res = runner.invoke(main, args)
+        assert res.exit_code in (0, 1) and not isinstance(res.exception, Exception), res.output
+        outs.append(res.output.splitlines())
+    base, shifted = outs
+    moved = [l for l in base if l.startswith("PERTURB ")]
+    assert bool(moved) == (base[0] == "ANSWER yes")
+    unshifted = []
+    for line in shifted:
+        parts = line.split()
+        if parts[0] == "PERTURB":
+            parts[3:] = [str(int(t) - offset) for t in parts[3:]]
+        unshifted.append(" ".join(parts))
+    assert unshifted == base

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +16,9 @@ from temporeach.solvers import (
     solve_trlp_big_zeta,
     solve_trlp_xp,
     solve_trp,
+    xp_work_estimate,
 )
-from temporeach.tgraph import apply_perturbation, parse_graph, validate_relabelling
+from temporeach.tgraph import TemporalGraph, apply_perturbation, parse_graph, validate_relabelling
 from temporeach.testkit import enumerate_perturbations, oracle_trlp, oracle_trlp_max_reach
 
 from test_tgraph import temporal_graphs
@@ -126,6 +128,18 @@ def test_xp_work_cap():
     g = parse_graph("n 4\ne 0 1 2\ne 1 2 2\ne 2 3 2")
     with pytest.raises(CapExceeded):
         solve_trlp_xp(TrlpInstance(g, 1, 2, 4), caps=WorkCaps(xp_ops=1))
+
+
+def test_xp_estimate_prices_the_sweep():
+    # one all-sources sweep per subset: 601 subsets * (600 + 200) is far
+    # below the default cap, which a per-source price (x n x 2m) exceeded
+    rng = random.Random(11)
+    n = 200
+    edges = sorted(rng.sample(list(itertools.combinations(range(n), 2)), 600))
+    g = TemporalGraph(n, tuple(edges), tuple((rng.randint(1, 20),) for _ in edges))
+    assert xp_work_estimate(g, 1) == 601 * 800
+    res = solve_trlp(TrlpInstance(g, 1, 1, n), strategy="xp")
+    assert res.strategy == "xp"
 
 
 @settings(max_examples=80, deadline=None)

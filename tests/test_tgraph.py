@@ -10,6 +10,7 @@ from temporeach.tgraph import (
     PerturbationError,
     TemporalGraph,
     apply_perturbation,
+    compress_time,
     minimal_moves,
     parse_graph,
     parse_perturbation,
@@ -232,3 +233,18 @@ def test_perturbation_file_roundtrip():
     text = serialize_perturbation(p)
     assert parse_perturbation(text) == p
     assert "delta 2" in text and "zeta 3" in text
+
+
+def test_compress_time_identity_and_ranks():
+    g = parse_graph("n 4\ne 0 1 1 4\ne 1 2 2 7\ne 2 3 4 9\n")
+    # distinct labels 1 2 4 7 9: no gap (from 0 on) is wider than 3 = 2*1+1
+    for delta in (1, 2):
+        same, shift = compress_time(g, delta)
+        assert same == g and shift == {1: 0, 2: 0, 4: 0, 7: 0, 9: 0}
+    # delta 0: every label becomes its rank among the distinct labels
+    ranks, shift = compress_time(g, 0)
+    assert ranks.labels == ((1, 3), (2, 4), (3, 5))
+    assert shift == {1: 0, 2: 0, 3: 1, 4: 3, 5: 4}
+    # wide gaps, the first one from 0 included, shrink to 2*delta+1
+    far, shift = compress_time(parse_graph("n 3\ne 0 1 50 51\ne 1 2 100\n"), 1)
+    assert far.labels == ((3, 4), (7,)) and shift == {3: 47, 4: 47, 7: 93}

@@ -12,7 +12,6 @@ from temporeach.treedp import (
     MckpInstance,
     _reconstruct,
     _value_tables,
-    maximal_states,
     mckp_solve,
     solve_trlp_tree,
     solve_trlp_tree_all_sources,
@@ -107,19 +106,17 @@ def test_tree_rejects_non_tree():
 def test_tree_state_monotonicity_and_maximality():
     inst = random_instance(3, "tree")
     g = inst.graph
+    horizon = g.lifetime + inst.delta
     for source in range(g.n):
+        value, _post, _children = _value_tables(inst, source)
         for v in range(g.n):
-            states = maximal_states(inst, source, v)
-            table = {}
-            for s in states:
-                table[(s.zeta_v, s.t_v)] = s.r_v
-            horizon = g.lifetime + inst.delta
+            table = value[v]
             for z in range(inst.zeta + 1):
                 for t in range(horizon):
-                    assert table[(z, t)] >= table[(z, t + 1)]
+                    assert table[z][t] >= table[z][t + 1]
                 if z < inst.zeta:
                     for t in range(horizon + 1):
-                        assert table[(z + 1, t)] >= table[(z, t)]
+                        assert table[z + 1][t] >= table[z][t]
 
 
 def subtree_vertices(g, source, v):

@@ -1,10 +1,11 @@
 import itertools
+import random
 
 import pytest
 
 from temporeach.limits import CapExceeded, WorkCaps
 from temporeach.reach import arrivals
-from temporeach.solvers import TrlpInstance
+from temporeach.solvers import TrlpInstance, solve_trlp_xp
 from temporeach.tgraph import TemporalGraph, apply_perturbation, parse_graph, validate_relabelling
 from temporeach.testkit import oracle_trlp_max_reach, random_instance
 from temporeach.treedp import solve_trlp_tree_all_sources
@@ -14,13 +15,13 @@ from temporeach.twdp import (
     TreeDecomposition,
     _Ctx,
     _join_rin,
+    _node_states,
     decompose_exact_small,
     join_rounds,
     make_nice,
     parse_decomposition,
     serialize_decomposition,
     solve_trlp_treewidth,
-    valid_states,
     validate_decomposition,
 )
 
@@ -126,7 +127,7 @@ def test_leaf_state_shape():
     d = decompose_exact_small(2, g.edges)
     nice = make_nice(d, 0, 2, g.edges)
     leaf_id = next(i for i, nd in enumerate(nice.nodes) if nd.kind == "leaf")
-    states = valid_states(inst, nice, leaf_id, ())
+    states = _node_states(_Ctx(inst, WorkCaps()), nice, leaf_id, (), [0])
     assert len(states) == 1
     (s,) = states
     assert s.p == () and s.r_in == () and s.r_below == (0,) and s.zeta_below == 0
@@ -144,7 +145,9 @@ def test_introduce_isolated_vertex_rows():
             NiceNode((0,), "introduce", 0, (0,)),
         )
     )
-    states = valid_states(inst, nice, 1, (valid_states(inst, nice, 0, ()),))
+    ctx = _Ctx(inst, WorkCaps())
+    leaf = _node_states(ctx, nice, 0, (), [0])
+    states = _node_states(ctx, nice, 1, (leaf,), [0])
     assert len(states) == 1
     (s,) = states
     horizon = g.lifetime + inst.delta
@@ -243,3 +246,62 @@ def test_h1_trivial_yes():
     d = decompose_exact_small(3, g.edges)
     res = solve_trlp_treewidth(TrlpInstance(g, 1, 0, 1), d)
     assert res.answer and res.source == 0
+
+
+def test_treewidth_cap_bounds_whole_call():
+    # ζ=0 on the all-ones C4 is a no, so every source runs; each needs at
+    # most 19 candidates and the four together 55
+    inst = TrlpInstance(C4, 1, 0, 4)
+    d = decompose_exact_small(4, C4.edges)
+    with pytest.raises(CapExceeded):
+        solve_trlp_treewidth(inst, d, caps=WorkCaps(tw_states=20))
+    assert not solve_trlp_treewidth(inst, d, caps=WorkCaps(tw_states=55)).answer
+
+
+def compressed_micro_instances(count, seed=7):
+    """Trees and cycles with multi-label edges, labels in gappy clusters
+    (some at 1, so windows clip there), delta 0-2; h is the optimum or one
+    above it."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        if rng.random() < 0.5:
+            n = rng.randint(2, 7)
+            edges = [tuple(sorted((v, rng.randint(0, v - 1)))) for v in range(1, n)]
+        else:
+            n = rng.randint(3, 4)
+            edges = [tuple(sorted((i, (i + 1) % n))) for i in range(n)]
+        delta = rng.choice([0, 1, 1, 2, 2])
+        pool, t = [], rng.choice([1, 1, rng.randint(2, 9)])
+        for _ in range(rng.randint(1, 4)):
+            pool.append(t)
+            t += rng.choice([1, 2, 2 * delta + 1, 2 * delta + 2, rng.randint(5, 40)])
+        labels = [
+            tuple(sorted(rng.sample(pool, rng.randint(1, min(2, len(pool))))))
+            for _ in edges
+        ]
+        order = sorted(range(len(edges)), key=lambda i: edges[i])
+        g = TemporalGraph(n, tuple(edges[i] for i in order), tuple(labels[i] for i in order))
+        zeta = rng.choice([0, 1, 1, 2])
+        # h at the optimum or one above it, so answers sit on the boundary
+        best = solve_trlp_xp(TrlpInstance(g, delta, zeta, n))
+        opt = n if best.answer else best.reach_count
+        if opt == n and rng.random() < 0.8:
+            continue
+        out.append(TrlpInstance(g, delta, zeta, min(n, opt + rng.randint(0, 1))))
+    return out
+
+
+def test_compressed_dps_match_xp():
+    for inst in compressed_micro_instances(100):
+        g = inst.graph
+        want = solve_trlp_xp(inst).answer
+        if len(g.edges) == g.n - 1:
+            got = solve_trlp_tree_all_sources(inst)
+        else:
+            got = solve_trlp_treewidth(inst, decompose_exact_small(g.n, g.edges))
+        assert got.answer == want, inst
+        if got.answer:
+            pg = apply_perturbation(g, got.perturbation)
+            count = sum(1 for a in arrivals(pg, got.source) if a is not None)
+            assert count == got.reach_count >= inst.h
