@@ -15,19 +15,17 @@ import click
 
 from . import ecc as eccmod
 from . import testkit, treedp, twdp
-from .limits import CapExceeded, WorkCaps
-from .reach import arrivals, foremost_tree, max_reachability, reach_set
+from .limits import CapExceeded
+from .reach import foremost_tree, max_reachability, reach_set
 from .solvers import SolveResult, TrlpInstance, solve_trlp, solve_trp
 from .tgraph import (
     FormatError,
-    Perturbation,
     PerturbationError,
     TemporalGraph,
     apply_perturbation,
     parse_graph,
     parse_perturbation,
     serialize_graph,
-    serialize_perturbation,
     validate_relabelling,
 )
 
@@ -114,8 +112,7 @@ def trlp(graph_path, delta, zeta, h, strategy, decomp_path, as_json) -> None:
         if decomp_path:
             with open(decomp_path, "r", encoding="utf-8") as fh:
                 decomp = twdp.parse_decomposition(fh.read())
-        caps = WorkCaps.from_env()
-        res = solve_trlp(inst, strategy=strategy, decomposition=decomp, caps=caps)
+        res = solve_trlp(inst, strategy=strategy, decomposition=decomp)
     except CapExceeded as exc:
         _refuse(str(exc), as_json)
     except (FormatError, PerturbationError, ValueError, twdp.DecompositionError) as exc:
@@ -151,7 +148,7 @@ def ecc(graph_path, source, variant, k, delta, zeta, as_json) -> None:
     try:
         g = _load_graph(graph_path)
         inst = eccmod.EccInstance(g, source, k, delta, zeta, variant)
-        res = eccmod.solve_ecc_perturbed(inst, caps=WorkCaps.from_env())
+        res = eccmod.solve_ecc_perturbed(inst)
     except CapExceeded as exc:
         _refuse(str(exc), as_json)
     except (FormatError, ValueError) as exc:
@@ -180,7 +177,7 @@ def reach(graph_path, source, as_json) -> None:
         tree = foremost_tree(g, source)
     except ValueError as exc:
         _refuse(str(exc), as_json)
-    fields: list[tuple[str, object]] = [("SOURCE", source), ("REACH", len(tree.reached()))]
+    fields: list[tuple[str, object]] = [("SOURCE", source), ("REACH", tree.count())]
     for v, a in enumerate(tree.arrival):
         fields.append(("ARRIVAL", [v, a if a is not None else "inf"]))
     _emit(fields, as_json)
@@ -310,7 +307,7 @@ def verify(graph_path, pert_path, source, h, variant, k, as_json) -> None:
     ok = moved is not None and moved <= p.zeta
     reason = None if ok else "perturbation outside declared bounds"
     if ok and h is not None:
-        count = sum(1 for a in arrivals(perturbed, source) if a is not None)
+        count = len(reach_set(perturbed, source))
         fields.append(("REACH", count))
         if count < h:
             ok, reason = False, f"reach {count} below h={h}"
@@ -342,7 +339,7 @@ def oracle() -> None:
 def oracle_trlp_cmd(graph_path, delta, zeta, h, as_json) -> None:
     try:
         g = _load_graph(graph_path)
-        res = testkit.oracle_trlp(TrlpInstance(g, delta, zeta, h), caps=WorkCaps.from_env())
+        res = testkit.oracle_trlp(TrlpInstance(g, delta, zeta, h))
     except CapExceeded as exc:
         _refuse(str(exc), as_json)
     except (FormatError, ValueError) as exc:
@@ -362,18 +359,12 @@ def oracle_ecc_cmd(graph_path, source, variant, k, delta, zeta, as_json) -> None
     try:
         g = _load_graph(graph_path)
         inst = eccmod.EccInstance(g, source, k, delta, zeta, variant)
-        res = testkit.oracle_ecc(inst, caps=WorkCaps.from_env())
+        res = testkit.oracle_ecc(inst)
     except CapExceeded as exc:
         _refuse(str(exc), as_json)
     except (FormatError, ValueError) as exc:
         _refuse(str(exc), as_json)
     _finish(res, as_json)
-
-
-def result_perturbation_text(res: SolveResult) -> str:
-    """Perturbation-file text for a solver result (verify round-trips)."""
-    p = res.perturbation or Perturbation(0, 0, ())
-    return serialize_perturbation(p)
 
 
 if __name__ == "__main__":

@@ -5,6 +5,10 @@ shortest eccentricity: max over targets of the fewest edges on any strict
 temporal path from the source; infinite (None) if some vertex is unreachable.
 fastest eccentricity: max over targets of the smallest duration (last label
 minus first); single-edge paths and the trivial path have duration 0.
+
+The hop variant and its decision form share one layered relaxation
+(``_hop_depth``); the duration variant runs one foremost exploration
+(``reach.arrivals``) per possible first-edge time.
 """
 
 from __future__ import annotations
@@ -13,8 +17,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .limits import CapExceeded, WorkCaps, DEFAULT_CAPS
-from .reach import arrivals
-from .solvers import SolveResult, certificate_from_exploration, _explore, ALL_EDGES
+from .reach import ALL_EDGES, arrivals
+from .solvers import SolveResult, certificate_from_exploration, _explore
 from .tgraph import TemporalGraph, next_label_after
 
 
@@ -38,29 +42,35 @@ class EccInstance:
             raise ValueError("delta and zeta must be nonnegative")
 
 
-def hop_bounded_arrivals(g: TemporalGraph, source: int) -> list[list[Optional[int]]]:
-    """layers[k][v] = earliest arrival at v over strict paths with <= k edges.
+def _hop_depth(g: TemporalGraph, source: int, limit: int) -> Optional[int]:
+    """Fewest k <= limit such that every vertex has a strict temporal path
+    from ``source`` with at most k edges, or None.
 
-    Exchange argument: replacing a prefix by any earlier-arriving one with no
-    more hops keeps the last edge usable, so the layered minimum is exact.
+    Round k relaxes every edge once from the earliest arrivals over paths
+    with < k edges.  Exchange argument: replacing a prefix by any
+    earlier-arriving one with no more hops keeps the last edge usable, so the
+    layered minimum is exact.  A journey can drop any cycle, so rounds past
+    n-1 reach nothing new.
     """
-    unreachable = None
-    layers = []
-    cur: list[Optional[int]] = [unreachable] * g.n
+    labels, adjacency = g.labels, g.adjacency
+    cur: list[Optional[int]] = [None] * g.n
     cur[source] = 0
-    layers.append(cur)
-    for _ in range(max(0, g.n - 1)):
+    left = g.n - 1
+    rounds = 0
+    last = min(limit, g.n - 1)
+    while left and rounds < last:
         nxt = list(cur)
-        for u in range(g.n):
-            if cur[u] is None:
+        for u, tu in enumerate(cur):
+            if tu is None:
                 continue
-            for w, ei in g.adjacency[u]:
-                t = next_label_after(g.labels[ei], cur[u])
+            for w, ei in adjacency[u]:
+                t = next_label_after(labels[ei], tu)
                 if t is not None and (nxt[w] is None or t < nxt[w]):
                     nxt[w] = t
-        layers.append(nxt)
         cur = nxt
-    return layers
+        left = cur.count(None)
+        rounds += 1
+    return rounds if left == 0 else None
 
 
 def shortest_ecc(g: TemporalGraph, source: int) -> Optional[int]:
@@ -68,14 +78,7 @@ def shortest_ecc(g: TemporalGraph, source: int) -> Optional[int]:
     ``source``; None when some vertex is unreachable."""
     if not (0 <= source < g.n):
         raise ValueError("source out of range")
-    layers = hop_bounded_arrivals(g, source)
-    worst = 0
-    for v in range(g.n):
-        hops = next((k for k, layer in enumerate(layers) if layer[v] is not None), None)
-        if hops is None:
-            return None
-        worst = max(worst, hops)
-    return worst
+    return _hop_depth(g, source, g.n - 1)
 
 
 def fastest_ecc(g: TemporalGraph, source: int) -> Optional[int]:
@@ -114,28 +117,7 @@ def ecc_within(g: TemporalGraph, source: int, k: int, variant: str) -> bool:
     if variant == "fastest":
         val = fastest_ecc(g, source)
         return val is not None and val <= k
-    reached = [False] * g.n
-    cur: list[Optional[int]] = [None] * g.n
-    cur[source] = 0
-    reached[source] = True
-    left = g.n - 1
-    for _ in range(min(k, max(0, g.n - 1))):
-        if left == 0:
-            return True
-        nxt = list(cur)
-        for u in range(g.n):
-            if cur[u] is None:
-                continue
-            for w, ei in g.adjacency[u]:
-                t = next_label_after(g.labels[ei], cur[u])
-                if t is not None and (nxt[w] is None or t < nxt[w]):
-                    nxt[w] = t
-        for v in range(g.n):
-            if nxt[v] is not None and not reached[v]:
-                reached[v] = True
-                left -= 1
-        cur = nxt
-    return left == 0
+    return _hop_depth(g, source, k) is not None
 
 
 def large_perturbation_applies(inst: EccInstance) -> bool:

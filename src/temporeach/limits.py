@@ -1,8 +1,9 @@
-"""Work caps guarding the exponential strategies, overridable via TEMPOREACH_CAP."""
+"""Work caps guarding the exponential strategies.  Each cap is in its own
+unit: XP sweep operations, oracle candidates, treewidth-DP states, and the
+largest decomposition width tried."""
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 
@@ -16,14 +17,6 @@ class WorkCaps:
     oracle_evals: int = 10_000_000
     tw_states: int = 1_000_000
     tw_width: int = 2
-
-    @staticmethod
-    def from_env() -> "WorkCaps":
-        raw = os.environ.get("TEMPOREACH_CAP")
-        if raw is None:
-            return WorkCaps()
-        cap = int(raw)
-        return WorkCaps(xp_ops=cap, oracle_evals=cap, tw_states=cap)
 
 
 DEFAULT_CAPS = WorkCaps()

@@ -1,9 +1,12 @@
 """Strict temporal paths: foremost arrival times, path trees, reach sets.
 
-Single-source exploration is a Dijkstra-style earliest-arrival relaxation over
-a priority queue of (time, vertex, parent) triples; popping in that
-lexicographic order makes trees deterministic (smallest feasible time, then
-smallest parent id).
+Every single-source question goes through ``explore``, one Dijkstra-style
+earliest-arrival relaxation over a priority queue of (time, vertex, parent,
+edge index) entries; popping in that lexicographic order makes trees
+deterministic (smallest feasible time, then smallest parent id).  The edges
+in a perturbable set may use any time within ±delta of one of their labels,
+which gives the pointwise earliest arrivals over all such re-timings.
+``foremost_tree``, ``arrivals`` and ``solvers._explore`` are views of it.
 
 Reach counts of all sources at once come from ``reach_counts``: one reverse
 sweep over the times at which some edge is active, carrying per vertex a
@@ -18,26 +21,31 @@ import heapq
 from dataclasses import dataclass
 from typing import Collection, Optional
 
-from .tgraph import TemporalGraph, next_label_after
+from .tgraph import TemporalGraph, next_expanded_after, next_label_after
+
+ALL_EDGES = "all"
 
 
-@dataclass(frozen=True)
+@dataclass
 class ForemostTree:
     """Foremost-path tree from a source: every root-to-vertex path uses strictly
-    increasing times and each prefix arrives at that vertex's foremost time.
+    increasing times and each prefix arrives at that vertex's foremost time
+    (over the ±delta re-timings ``explore`` allowed, if any).
 
     ``arrival[v]`` is None for unreachable vertices and 0 for the source.
-    ``parent[v]``/``edge_time[v]`` describe the tree edge into v (None at the
-    source and at unreachable vertices).
+    ``parent[v]``/``edge_time[v]``/``edge[v]`` describe the tree edge into v
+    (its other end, time and edge index; None at the source and at
+    unreachable vertices).
     """
 
     source: int
-    parent: tuple[Optional[int], ...]
-    edge_time: tuple[Optional[int], ...]
-    arrival: tuple[Optional[int], ...]
+    parent: list[Optional[int]]
+    edge_time: list[Optional[int]]
+    arrival: list[Optional[int]]
+    edge: list[Optional[int]]
 
-    def reached(self) -> frozenset[int]:
-        return frozenset(v for v, a in enumerate(self.arrival) if a is not None)
+    def count(self) -> int:
+        return sum(1 for a in self.arrival if a is not None)
 
     def path_to(self, v: int) -> list[tuple[int, int, int]]:
         """Tree path to v as (u, w, time) hops from the source."""
@@ -52,61 +60,61 @@ class ForemostTree:
         return hops
 
 
-def foremost_tree(g: TemporalGraph, source: int) -> ForemostTree:
-    """Foremost arrivals and a deterministic foremost-path tree from ``source``."""
+def explore(
+    g: TemporalGraph,
+    source: int,
+    delta: int,
+    eset: frozenset[int] | str,
+    min_departure: int,
+) -> ForemostTree:
+    """Foremost exploration from ``source`` whose first edge is at a time
+    >= ``min_departure``, when the edges indexed by ``eset`` (all edges for
+    eset == ALL_EDGES) may each have appearances re-timed by ±delta."""
     if not (0 <= source < g.n):
         raise ValueError(f"source {source} out of range")
     arrival: list[Optional[int]] = [None] * g.n
     parent: list[Optional[int]] = [None] * g.n
     edge_time: list[Optional[int]] = [None] * g.n
-    heap: list[tuple[int, int, int]] = []
+    edge: list[Optional[int]] = [None] * g.n
+    labels, adjacency = g.labels, g.adjacency
+    everything = eset == ALL_EDGES
     arrival[source] = 0
-    for w, ei in g.adjacency[source]:
-        heapq.heappush(heap, (g.labels[ei][0], w, source))
-    while heap:
-        t, v, u = heapq.heappop(heap)
-        if arrival[v] is not None:
-            continue
+    heap: list[tuple[int, int, int, int]] = []
+    v, t = source, max(0, min_departure - 1)
+    while True:
+        for w, ei in adjacency[v]:
+            if arrival[w] is None:
+                if delta and (everything or ei in eset):
+                    nt = next_expanded_after(labels[ei], t, delta)
+                else:
+                    nt = next_label_after(labels[ei], t)
+                if nt is not None:
+                    heapq.heappush(heap, (nt, w, v, ei))
+        while heap and arrival[heap[0][1]] is not None:
+            heapq.heappop(heap)
+        if not heap:
+            break
+        t, v, u, ei = heapq.heappop(heap)
         arrival[v] = t
         parent[v] = u
         edge_time[v] = t
-        for w, ei in g.adjacency[v]:
-            if arrival[w] is None:
-                nt = next_label_after(g.labels[ei], t)
-                if nt is not None:
-                    heapq.heappush(heap, (nt, w, v))
-    return ForemostTree(source, tuple(parent), tuple(edge_time), tuple(arrival))
+        edge[v] = ei
+    return ForemostTree(source, parent, edge_time, arrival, edge)
+
+
+def foremost_tree(g: TemporalGraph, source: int) -> ForemostTree:
+    """Foremost arrivals and a deterministic foremost-path tree from ``source``."""
+    return explore(g, source, 0, frozenset(), 0)
 
 
 def arrivals(g: TemporalGraph, source: int, min_departure: int = 0) -> list[Optional[int]]:
     """Foremost arrival times using only paths whose first edge is at a time
-    >= ``min_departure``; no tree bookkeeping."""
-    arr: list[Optional[int]] = [None] * g.n
-    arr[source] = 0
-    heap: list[tuple[int, int]] = []
-    start = max(0, min_departure - 1)
-    for w, ei in g.adjacency[source]:
-        nt = next_label_after(g.labels[ei], start)
-        if nt is not None:
-            heap.append((nt, w))
-    heapq.heapify(heap)
-    while heap:
-        t, v = heapq.heappop(heap)
-        if arr[v] is not None:
-            continue
-        arr[v] = t
-        for w, ei in g.adjacency[v]:
-            if arr[w] is None:
-                nt = next_label_after(g.labels[ei], t)
-                if nt is not None:
-                    heapq.heappush(heap, (nt, w))
-    return arr
+    >= ``min_departure``."""
+    return explore(g, source, 0, frozenset(), min_departure).arrival
 
 
 def reach_set(g: TemporalGraph, source: int) -> frozenset[int]:
     """All vertices reachable from ``source`` by a strict temporal path."""
-    if not (0 <= source < g.n):
-        raise ValueError(f"source {source} out of range")
     return frozenset(v for v, a in enumerate(arrivals(g, source)) if a is not None)
 
 

@@ -5,9 +5,6 @@
   all-sources sweep (``reach.reach_counts``) finds the best count and the
   smallest source attaining it, and that source's foremost-path tree is
   realised by moving one appearance per tree edge.
-* ``explore_with_perturbable_set``: given the exact set of edges that may be
-  re-timed, a priority-queue exploration computes the best reach from one
-  source.
 * ``solve_trlp_xp``: exact bounded-count answer over every perturbable edge
   subset of size <= zeta, one all-sources sweep per subset.  The tie-break
   is unchanged from a per-source scan: smallest source, then its first
@@ -19,22 +16,13 @@
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from math import comb
 from typing import Iterator, Optional
 
 from .limits import CapExceeded, WorkCaps, DEFAULT_CAPS
-from .reach import arrivals, reach_counts, reach_set
-from .tgraph import (
-    Perturbation,
-    TemporalGraph,
-    apply_perturbation,
-    next_expanded_after,
-    next_label_after,
-)
-
-ALL_EDGES = "all"
+from .reach import ALL_EDGES, ForemostTree, explore, reach_counts, reach_set
+from .tgraph import Perturbation, TemporalGraph, apply_perturbation
 
 
 @dataclass(frozen=True)
@@ -64,56 +52,12 @@ class SolveResult:
     ecc_value: Optional[int] = None
 
 
-@dataclass
-class Exploration:
-    """Result of one perturbable-set exploration from a fixed source."""
-
-    source: int
-    arrival: list[Optional[int]]
-    parent: list[Optional[int]]
-    used_time: list[Optional[int]]
-    used_edge: list[Optional[int]]
-
-    def count(self) -> int:
-        return sum(1 for a in self.arrival if a is not None)
-
-
 def _explore(
     g: TemporalGraph, source: int, delta: int, eset: frozenset[int] | str
-) -> Exploration:
+) -> ForemostTree:
     """Best-possible foremost exploration when the edges indexed by ``eset``
-    (or all edges, for eset == ALL_EDGES) may each have appearances re-timed
-    by ±delta.  Pops in (time, vertex, parent) order for determinism."""
-    arrival: list[Optional[int]] = [None] * g.n
-    parent: list[Optional[int]] = [None] * g.n
-    used_time: list[Optional[int]] = [None] * g.n
-    used_edge: list[Optional[int]] = [None] * g.n
-    everything = eset == ALL_EDGES
-    arrival[source] = 0
-    heap: list[tuple[int, int, int, int]] = []
-
-    def relax(u: int, t: int) -> None:
-        for w, ei in g.adjacency[u]:
-            if arrival[w] is not None:
-                continue
-            if everything or ei in eset:
-                nt = next_expanded_after(g.labels[ei], t, delta)
-            else:
-                nt = next_label_after(g.labels[ei], t)
-            if nt is not None:
-                heapq.heappush(heap, (nt, w, u, ei))
-
-    relax(source, 0)
-    while heap:
-        t, v, u, ei = heapq.heappop(heap)
-        if arrival[v] is not None:
-            continue
-        arrival[v] = t
-        parent[v] = u
-        used_time[v] = t
-        used_edge[v] = ei
-        relax(v, t)
-    return Exploration(source, arrival, parent, used_time, used_edge)
+    (or all edges, for eset == ALL_EDGES) may each be re-timed by ±delta."""
+    return explore(g, source, delta, eset, 0)
 
 
 def explore_with_perturbable_set(
@@ -146,23 +90,22 @@ def _certified_yes(
     cert = Perturbation(inst.delta, inst.zeta, tuple(
         (e, old + shift[old], new + shift[old]) for e, old, new in records
     ))
-    perturbed = apply_perturbation(inst.graph, cert)
-    count = sum(1 for a in arrivals(perturbed, source) if a is not None)
+    count = len(reach_set(apply_perturbation(inst.graph, cert), source))
     assert count >= inst.h
     return SolveResult(True, strategy, source=source, reach_count=count, perturbation=cert)
 
 
 def certificate_from_exploration(
-    g: TemporalGraph, exp: Exploration, delta: int, zeta: int
+    g: TemporalGraph, exp: ForemostTree, delta: int, zeta: int
 ) -> Perturbation:
     """Records realising the exploration tree: one moved appearance per tree
     edge whose chosen time is not an original label."""
     records = []
     for v in range(g.n):
-        ei = exp.used_edge[v]
+        ei = exp.edge[v]
         if ei is None:
             continue
-        t_used = exp.used_time[v]
+        t_used = exp.edge_time[v]
         labels = g.labels[ei]
         if t_used in labels:
             continue
@@ -188,12 +131,9 @@ def solve_trp(g: TemporalGraph, delta: int, h: int) -> SolveResult:
         return SolveResult(False, "trp", reach_count=best)
     exp = _explore(g, src, delta, ALL_EDGES)
     assert exp.count() == best
-    cert = certificate_from_exploration(g, exp, delta, cert_zeta(exp))
+    # at most one move per tree edge, and the tree has best - 1 edges
+    cert = certificate_from_exploration(g, exp, delta, best - 1)
     return SolveResult(True, "trp", source=src, reach_count=best, perturbation=cert)
-
-
-def cert_zeta(exp: Exploration) -> int:
-    return sum(1 for e in exp.used_edge if e is not None)
 
 
 def _lex_subsets(m: int, max_size: int) -> Iterator[tuple[int, ...]]:
@@ -287,8 +227,7 @@ def solve_trlp_big_zeta(inst: TrlpInstance) -> SolveResult:
 
         moved = tuple(sorted(moved, key=gamma)[: h - 1])
     cert = Perturbation(delta, inst.zeta, moved)
-    perturbed = apply_perturbation(g, cert)
-    count = sum(1 for a in arrivals(perturbed, src) if a is not None)
+    count = len(reach_set(apply_perturbation(g, cert), src))
     assert count >= h
     return SolveResult(True, "bigzeta", source=src, reach_count=count, perturbation=cert)
 

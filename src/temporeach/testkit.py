@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Optional
 
 from . import ecc as eccmod
 from .limits import CapExceeded, WorkCaps, DEFAULT_CAPS
-from .reach import arrivals, reach_counts
+from .reach import reach_counts, reach_set
 from .solvers import SolveResult, TrlpInstance
 from .tgraph import Edge, Perturbation, TemporalGraph
 
@@ -160,7 +160,6 @@ def scan_perturbations(
     eset: Optional[Iterable[Edge]] = None,
     keep: Optional[Callable[[TemporalGraph], bool]] = None,
     on_complete: Callable[[Perturbation, TemporalGraph], bool],
-    shard: tuple[int, int] = (0, 1),
 ) -> bool:
     """Walk the perturbation space in the documented order, calling
     ``on_complete`` for every concrete perturbation (stop and return True when
@@ -169,19 +168,12 @@ def scan_perturbations(
     ``keep`` is consulted on window-relaxation graphs (whole moved set, and
     prefixes of the target assignment with the remainder still windowed); it
     must be monotone in time-edges, i.e. returning False must imply that every
-    completion below also fails.  ``shard=(i, j)`` keeps only moved sets whose
-    stream index is congruent to i mod j.
+    completion below also fails.
     """
     eidx = _eset_indices(g, eset)
     time_edges = [(ei, t) for ei in eidx for t in g.labels[ei]]
-    max_moves = min(zeta, len(time_edges))
-    shard_i, shard_n = shard
-    stream = -1
-    for size in range(max_moves + 1):
+    for size in range(min(zeta, len(time_edges)) + 1):
         for moved in itertools.combinations(time_edges, size):
-            stream += 1
-            if stream % shard_n != shard_i:
-                continue
             if _expand_moved_set(g, delta, zeta, moved, keep, on_complete):
                 return True
     return False
@@ -371,7 +363,7 @@ def oracle_ecc(inst: "eccmod.EccInstance", caps: WorkCaps = DEFAULT_CAPS) -> Sol
             True,
             "oracle",
             source=inst.source,
-            reach_count=sum(1 for a in arrivals(pg, inst.source) if a is not None),
+            reach_count=len(reach_set(pg, inst.source)),
             perturbation=p,
             ecc_value=val,
         )
@@ -565,35 +557,3 @@ def random_instance(seed: int, profile: str) -> TrlpInstance:
     zeta = rng.randint(0, 3)
     h = rng.randint(1, n)
     return TrlpInstance(g, delta, zeta, h)
-
-
-# ---------------------------------------------------------------------------
-# Instance files: .tg plus header lines delta/zeta/h/k/source/variant
-
-
-def write_instance(path, g: TemporalGraph, headers: dict[str, object]) -> None:
-    from .tgraph import serialize_graph
-
-    lines = [serialize_graph(g).rstrip("\n")]
-    for key in ("delta", "zeta", "h", "k", "source", "variant"):
-        if key in headers and headers[key] is not None:
-            lines.append(f"{key} {headers[key]}")
-    text = "\n".join(lines) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
-def read_instance(path) -> tuple[TemporalGraph, dict[str, object]]:
-    from .tgraph import parse_graph
-
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    g = parse_graph(text, allow_headers=True)
-    headers: dict[str, object] = {}
-    for raw in text.splitlines():
-        parts = raw.split()
-        if parts and parts[0] in ("delta", "zeta", "h", "k", "source"):
-            headers[parts[0]] = int(parts[1])
-        elif parts and parts[0] == "variant":
-            headers["variant"] = parts[1]
-    return g, headers

@@ -146,10 +146,6 @@ class Perturbation:
         return tuple(r for r in self.records if r[1] != r[2])
 
 
-def empty_perturbation(delta: int, zeta: int) -> Perturbation:
-    return Perturbation(delta, zeta, ())
-
-
 def _parse_lines(text: str | bytes) -> Iterator[tuple[int, list[str]]]:
     if isinstance(text, bytes):
         text = text.decode("utf-8")
@@ -329,14 +325,13 @@ def compress_time(g: TemporalGraph, delta: int) -> tuple[TemporalGraph, dict[int
     return TemporalGraph(g.n, g.edges, labels), {c: t - c for t, c in new.items()}
 
 
-def _aligned_feasible(old: tuple[int, ...], new: tuple[int, ...], delta: int) -> bool:
-    return all(abs(a - b) <= delta and b >= 1 for a, b in zip(old, new))
-
-
 @lru_cache(maxsize=200_000)
-def minimal_moves(old: tuple[int, ...], new: tuple[int, ...], delta: int) -> Optional[int]:
-    """Minimum number of non-fixed pairs over all within-±delta matchings of the
-    sorted label tuples ``old`` onto ``new``, or None if no matching exists.
+def _minimal_matching(
+    old: tuple[int, ...], new: tuple[int, ...], delta: int
+) -> Optional[tuple[tuple[int, int], ...]]:
+    """Non-fixed (old, new) pairs of a within-±delta matching of the sorted
+    label tuples ``old`` onto ``new`` with the fewest of them, or None if no
+    matching exists.
 
     A matching fixing the set F of common values exists iff the sorted
     remainders admit the aligned matching (uncrossing), so we search F from
@@ -348,28 +343,27 @@ def minimal_moves(old: tuple[int, ...], new: tuple[int, ...], delta: int) -> Opt
     for k in range(len(common), -1, -1):
         for keep in itertools.combinations(common, k):
             ks = set(keep)
-            rest_old = tuple(t for t in old if t not in ks)
-            rest_new = tuple(t for t in new if t not in ks)
-            if _aligned_feasible(rest_old, rest_new, delta):
-                return len(old) - k
+            pairs = tuple(zip(
+                (t for t in old if t not in ks), (t for t in new if t not in ks)
+            ))
+            if all(abs(a - b) <= delta and b >= 1 for a, b in pairs):
+                return pairs
     return None
+
+
+def minimal_moves(old: tuple[int, ...], new: tuple[int, ...], delta: int) -> Optional[int]:
+    """Minimum number of non-fixed pairs over all within-±delta matchings of the
+    sorted label tuples ``old`` onto ``new``, or None if no matching exists."""
+    pairs = _minimal_matching(old, new, delta)
+    return None if pairs is None else len(pairs)
 
 
 def matching_records(
     edge: Edge, old: tuple[int, ...], new: tuple[int, ...], delta: int
 ) -> Optional[tuple[tuple[Edge, int, int], ...]]:
     """Records realising a minimal-move matching of ``old`` onto ``new``, or None."""
-    if len(old) != len(new):
-        return None
-    common = sorted(set(old) & set(new))
-    for k in range(len(common), -1, -1):
-        for keep in itertools.combinations(common, k):
-            ks = set(keep)
-            rest_old = tuple(t for t in old if t not in ks)
-            rest_new = tuple(t for t in new if t not in ks)
-            if _aligned_feasible(rest_old, rest_new, delta):
-                return tuple((edge, a, b) for a, b in zip(rest_old, rest_new))
-    return None
+    pairs = _minimal_matching(old, new, delta)
+    return None if pairs is None else tuple((edge, a, b) for a, b in pairs)
 
 
 def validate_relabelling(g: TemporalGraph, g2: TemporalGraph, delta: int) -> Optional[int]:

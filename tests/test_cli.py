@@ -1,4 +1,5 @@
 import gc
+import itertools
 import json
 
 import pytest
@@ -43,11 +44,13 @@ def test_trlp_no_exit_one(runner, tmp_path):
     assert res.output.splitlines()[0] == "ANSWER no"
 
 
-def test_trlp_refusal_exit_two(runner, tmp_path, monkeypatch):
-    monkeypatch.setenv("TEMPOREACH_CAP", "1")
-    gpath = write(tmp_path, "g.tg", CHAIN4_TG)
+def test_trlp_refusal_exit_two(runner, tmp_path):
+    # K10, one label per edge: XP would need 1 + 45 + ... + C(45, 6) subset
+    # sweeps, about 5.2e8 operations, over the default cap of 1e8
+    k10 = "n 10\n" + "".join(f"e {u} {v} 1\n" for u, v in itertools.combinations(range(10), 2))
+    gpath = write(tmp_path, "g.tg", k10)
     res = runner.invoke(
-        main, ["trlp", "-g", gpath, "--delta", "1", "--zeta", "2", "--h", "4", "--strategy", "xp"]
+        main, ["trlp", "-g", gpath, "--delta", "1", "--zeta", "6", "--h", "10", "--strategy", "xp"]
     )
     assert res.exit_code == 2
     assert res.output.startswith("REFUSED ")

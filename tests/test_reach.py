@@ -22,8 +22,9 @@ from temporeach.tgraph import TemporalGraph, parse_graph
 from test_tgraph import temporal_graphs
 
 
-def brute_foremost(g: TemporalGraph, source: int) -> list:
-    """Independent oracle: DFS over all simple strict temporal paths."""
+def brute_foremost(g: TemporalGraph, source: int, min_departure: int = 0) -> list:
+    """Independent oracle: DFS over all simple strict temporal paths whose
+    first edge is at a time >= min_departure."""
     best = [None] * g.n
     best[source] = 0
 
@@ -37,20 +38,20 @@ def brute_foremost(g: TemporalGraph, source: int) -> list:
                         best[w] = lab
                     walk(w, lab, visited | {w})
 
-    walk(source, 0, {source})
+    walk(source, min_departure - 1, {source})
     return best
 
 
 def test_star_arrivals():
     g = parse_graph("n 3\ne 0 1 5\ne 0 2 3")
     t = foremost_tree(g, 0)
-    assert t.arrival == (0, 5, 3)
+    assert t.arrival == [0, 5, 3]
 
 
 def test_path_blocked_by_ordering():
     g = parse_graph("n 3\ne 0 1 2\ne 1 2 1")
     t = foremost_tree(g, 0)
-    assert t.arrival == (0, 2, None)
+    assert t.arrival == [0, 2, None]
     assert brute_foremost(g, 0) == [0, 2, None]
 
 
@@ -80,11 +81,14 @@ def test_max_reachability_examples():
 
 
 @settings(max_examples=200, deadline=None)
-@given(temporal_graphs(max_n=6, max_t=4, max_labels=2), st.integers(0, 5))
-def test_foremost_matches_brute_force(g, source):
+@given(temporal_graphs(max_n=6, max_t=4, max_labels=2), st.integers(0, 5), st.integers(0, 5))
+def test_foremost_matches_brute_force(g, source, min_departure):
     source %= g.n
     tree = foremost_tree(g, source)
     assert list(tree.arrival) == brute_foremost(g, source)
+    assert arrivals(g, source, min_departure) == brute_foremost(g, source, min_departure)
+    exp = _explore(g, source, 0, frozenset())
+    assert (tree.parent, tree.edge_time) == (exp.parent, exp.edge_time)
 
 
 @settings(max_examples=200, deadline=None)

@@ -11,6 +11,7 @@ from temporeach.tgraph import (
     TemporalGraph,
     apply_perturbation,
     compress_time,
+    matching_records,
     minimal_moves,
     parse_graph,
     parse_perturbation,
@@ -169,7 +170,16 @@ def test_minimal_moves_matches_exhaustive(old, new, delta):
         old = old[: len(new)]
         new = new[: len(old)]
     old, new = tuple(sorted(old)), tuple(sorted(new))
-    assert minimal_moves(old, new, delta) == _all_matchings_min_moves(old, new, delta)
+    moves = minimal_moves(old, new, delta)
+    assert moves == _all_matchings_min_moves(old, new, delta)
+    records = matching_records((0, 1), old, new, delta)
+    if moves is None:
+        assert records is None
+        return
+    assert len(records) == moves
+    assert all(e == (0, 1) and abs(a - b) <= delta and b >= 1 for e, a, b in records)
+    moved = {a: b for _e, a, b in records}
+    assert sorted(moved.get(t, t) for t in old) == list(new)
 
 
 @settings(max_examples=200, deadline=None)
