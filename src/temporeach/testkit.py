@@ -7,10 +7,15 @@ non-identity target inside its ±delta window that keeps the edge's labels
 pairwise distinct.  Enumeration order is (moved-set size, lexicographic moved
 set, lexicographic targets); the first accepted perturbation is the witness.
 
-A branch may be skipped only when the relaxation graph in which every moved
-appearance is active across its whole window already fails the test: any
-concrete completion's time-edges are a subset of the relaxation's, and more
-time-edges never hurt reachability or eccentricity.
+Per moved-set size s, the scan walks the appearances depth first, trying
+"move this one" before "keep it": that visits the moved sets in the
+lexicographic order of ``itertools.combinations``.  A subtree may be skipped
+only when a relaxation covering it already fails the test.  In a relaxation,
+the appearances chosen so far, and the undecided ones while fewer than s are
+chosen, are active across their whole ±delta window; every other appearance
+keeps its label.  Every concrete completion in the subtree uses a subset of
+that relaxation's time-edges, and more time-edges never hurt reachability or
+eccentricity, so none of them can pass.
 """
 
 from __future__ import annotations
@@ -86,13 +91,6 @@ def parse_dimacs(text: str) -> CnfFormula:
     return CnfFormula(num_vars, tuple(clauses))
 
 
-def serialize_dimacs(f: CnfFormula) -> str:
-    out = [f"p cnf {f.num_vars} {len(f.clauses)}"]
-    for c in f.clauses:
-        out.append(" ".join(str(l) for l in c) + " 0")
-    return "\n".join(out) + "\n"
-
-
 def brute_sat(f: CnfFormula) -> bool:
     if f.num_vars > 16:
         raise ValueError("brute_sat guard: at most 16 variables")
@@ -124,14 +122,7 @@ def brute_domset(g: StaticGraph, r: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Perturbation-space enumeration
-#
-# A perturbation is identified with (moved appearance set, one non-identity
-# target per moved appearance).  Enumeration order is: moved sets by (size,
-# lexicographic position), then targets lexicographically per appearance.
-# Pruning against a window-relaxation is sound for any test that is monotone
-# in the set of time-edges: moved appearances replaced by their whole ±delta
-# windows give a superset of every concrete completion.
+# Perturbation-space enumeration (order and pruning: see the module docstring)
 
 
 def _window(t: int, delta: int) -> range:
@@ -165,18 +156,50 @@ def scan_perturbations(
     ``on_complete`` for every concrete perturbation (stop and return True when
     it returns True).
 
-    ``keep`` is consulted on window-relaxation graphs (whole moved set, and
-    prefixes of the target assignment with the remainder still windowed); it
-    must be monotone in time-edges, i.e. returning False must imply that every
-    completion below also fails.
+    For each moved-set size s, an include-first DFS over the appearances
+    yields the moved sets in lexicographic order.  ``keep`` is consulted on
+    window-relaxation graphs: after each appearance left out, on the chosen
+    appearances and all later ones windowed (the whole subtree is skipped if
+    it fails); on each full moved set windowed; and on prefixes of its target
+    assignment with the remainder still windowed.  It must be monotone in
+    time-edges, i.e. returning False must imply that every completion below
+    also fails.
     """
     eidx = _eset_indices(g, eset)
-    time_edges = [(ei, t) for ei in eidx for t in g.labels[ei]]
-    for size in range(min(zeta, len(time_edges)) + 1):
-        for moved in itertools.combinations(time_edges, size):
-            if _expand_moved_set(g, delta, zeta, moved, keep, on_complete):
+    apps = [(ei, t) for ei in eidx for t in g.labels[ei]]
+    chosen: list[tuple[int, int]] = []
+
+    def choose(start: int, size: int) -> bool:
+        need = size - len(chosen)
+        if need == 0:
+            return _expand_moved_set(g, delta, zeta, chosen, keep, on_complete)
+        for i in range(start, len(apps) - need + 1):
+            # apps[start:i] are left out; with exactly `need` left, the one
+            # moved set below makes this same check itself
+            if i > start and keep is not None and len(apps) - i > need:
+                if not keep(_relaxation(g, delta, chosen + apps[i:])):
+                    return False
+            chosen.append(apps[i])
+            stop = choose(i + 1, size)
+            chosen.pop()
+            if stop:
                 return True
-    return False
+        return False
+
+    return any(choose(0, size) for size in range(min(zeta, len(apps)) + 1))
+
+
+def _relaxation(
+    g: TemporalGraph, delta: int, windowed: Iterable[tuple[int, int]]
+) -> TemporalGraph:
+    """``g`` with every appearance in ``windowed`` active across its window."""
+    acc: dict[int, set[int]] = {}
+    for ei, t in windowed:
+        labels = acc.get(ei)
+        if labels is None:
+            labels = acc[ei] = set(g.labels[ei])
+        labels.update(_window(t, delta))
+    return g.with_labels({g.edges[ei]: labels for ei, labels in acc.items()})
 
 
 def _expand_moved_set(g, delta, zeta, moved, keep, on_complete) -> bool:
@@ -188,16 +211,16 @@ def _expand_moved_set(g, delta, zeta, moved, keep, on_complete) -> bool:
     }
     appearances = list(moved)
 
-    def labels_for(assigned: dict[int, list[int]], windowed_from: int) -> dict[Edge, tuple[int, ...]]:
+    def labels_for(assigned: dict[int, list[int]], windowed_from: int) -> dict[Edge, set[int]]:
         acc: dict[int, set[int]] = {ei: set(s) for ei, s in base.items()}
         for ei, ts in assigned.items():
             acc[ei].update(ts)
         for ei, t in appearances[windowed_from:]:
             acc[ei].update(_window(t, delta))
-        return {g.edges[ei]: tuple(sorted(s)) for ei, s in acc.items()}
+        return {g.edges[ei]: s for ei, s in acc.items()}
 
     if keep is not None and appearances:
-        if not keep(g.with_labels(labels_for({}, 0))):
+        if not keep(_relaxation(g, delta, appearances)):
             return False
 
     assigned: dict[int, list[int]] = {}

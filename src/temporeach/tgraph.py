@@ -20,7 +20,7 @@ import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 Edge = tuple[int, int]
 
@@ -112,12 +112,31 @@ class TemporalGraph:
     def num_time_edges(self) -> int:
         return sum(len(ts) for ts in self.labels)
 
-    def with_labels(self, new_labels: dict[Edge, tuple[int, ...]]) -> "TemporalGraph":
-        """Copy of this graph with some edges' label tuples replaced."""
-        labels = tuple(
-            tuple(sorted(new_labels.get(e, ts))) for e, ts in zip(self.edges, self.labels)
+    def with_labels(self, new_labels: Mapping[Edge, Iterable[int]]) -> "TemporalGraph":
+        """Copy of this graph with some edges' labels replaced (each given in
+        any order).
+
+        The copy shares ``edges``, ``edge_index`` and ``adjacency`` with this
+        graph, and only the replacements are checked: each must be non-empty,
+        with every label >= 1 and no label repeated.  An edge that is not in
+        the graph raises ValueError.
+        """
+        index = self.edge_index
+        labels = list(self.labels)
+        for e, ts in new_labels.items():
+            i = index.get(e)
+            if i is None:
+                raise ValueError(f"edge {e} is not in the graph")
+            ts = tuple(sorted(ts))
+            if not ts or ts[0] < 1 or len(set(ts)) < len(ts):
+                raise ValueError(f"edge {e}: labels {ts} must be distinct, >= 1 and non-empty")
+            labels[i] = ts
+        copy = object.__new__(TemporalGraph)
+        copy.__dict__.update(
+            n=self.n, edges=self.edges, labels=tuple(labels),
+            edge_index=index, adjacency=self.adjacency,
         )
-        return TemporalGraph(self.n, self.edges, labels)
+        return copy
 
 
 @dataclass(frozen=True)

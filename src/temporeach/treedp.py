@@ -201,7 +201,10 @@ def solve_trlp_tree(inst: TrlpInstance, source: int) -> SolveResult:
     if score < inst.h:
         return SolveResult(False, "tree", source=source, reach_count=score)
     records: list = []
-    _reconstruct(small, value, children, source, inst.zeta, 0, records)
+    # rebuild from the smallest budget that reaches h, so no move is spent
+    # that the answer does not need
+    z = next(z for z, row in enumerate(value[source]) if row[0] >= inst.h)
+    _reconstruct(small, value, children, source, z, 0, records)
     return _certified_yes(inst, "tree", source, records, shift)
 
 

@@ -3,7 +3,8 @@ import itertools
 import pytest
 
 from temporeach.limits import CapExceeded, WorkCaps
-from temporeach.reach import arrivals
+from temporeach.ecc import EccInstance, measure
+from temporeach.reach import arrivals, reach_set
 from temporeach.solvers import TrlpInstance
 from temporeach.tgraph import TemporalGraph, apply_perturbation, parse_graph
 from temporeach.testkit import (
@@ -13,6 +14,7 @@ from temporeach.testkit import (
     brute_sat,
     domset_to_trlp,
     enumerate_perturbations,
+    oracle_ecc,
     oracle_ecc_min,
     oracle_trlp,
     oracle_trlp_max_reach,
@@ -20,8 +22,16 @@ from temporeach.testkit import (
     random_instance,
     sat_to_tfaep,
     sat_to_tsep,
-    serialize_dimacs,
 )
+
+
+def serialize_dimacs(f):
+    """DIMACS text of ``f``, for the round trip through ``parse_dimacs``."""
+    out = [f"p cnf {f.num_vars} {len(f.clauses)}"]
+    for c in f.clauses:
+        out.append(" ".join(str(l) for l in c) + " 0")
+    return "\n".join(out) + "\n"
+
 
 FIG_GRAPH = StaticGraph(5, ((0, 1), (0, 3), (1, 3), (1, 4), (2, 4)))
 
@@ -60,6 +70,37 @@ def test_enumeration_counts_each_assignment_once():
     records = [p.records for p, _ in enumerate_perturbations(g, 1, 1)]
     assert len(records) == len(set(records))
     assert records[0] == ()  # identity first
+
+
+def test_scan_first_witness_follows_enumeration_order():
+    """The pruned scan's first witness is the first accepted perturbation of
+    the unpruned enumeration, for both oracles."""
+    compared = 0
+    for seed in range(60):
+        for profile in ("tree", "sparse", "treewidth2"):
+            inst = random_instance(seed, profile)
+            g, delta, zeta, h = inst.graph, inst.delta, max(inst.zeta, 2), inst.h
+            space = list(enumerate_perturbations(g, delta, zeta))
+
+            def reaching(pg):
+                return next((s for s in range(g.n) if len(reach_set(pg, s)) >= h), None)
+
+            want = next(((p, reaching(pg)) for p, pg in space if reaching(pg) is not None), None)
+            got = oracle_trlp(TrlpInstance(g, delta, zeta, h))
+            assert (got.perturbation, got.source) == (want or (None, None)), (seed, profile)
+            compared += want is not None and want[0].perturbed_count > 0
+            for variant in ("shortest", "fastest"):
+                k = seed % 4
+
+                def within(pg):
+                    val = measure(pg, 0, variant)
+                    return val is not None and val <= k
+
+                want = next((p for p, pg in space if within(pg)), None)
+                got = oracle_ecc(EccInstance(g, 0, k, delta, zeta, variant))
+                assert got.perturbation == want, (seed, profile, variant)
+                compared += want is not None and want.perturbed_count > 0
+    assert compared >= 40  # witnesses that move something
 
 
 def test_oracle_path_example():

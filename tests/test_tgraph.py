@@ -258,3 +258,15 @@ def test_compress_time_identity_and_ranks():
     # wide gaps, the first one from 0 included, shrink to 2*delta+1
     far, shift = compress_time(parse_graph("n 3\ne 0 1 50 51\ne 1 2 100\n"), 1)
     assert far.labels == ((3, 4), (7,)) and shift == {3: 47, 4: 47, 7: 93}
+
+
+def test_with_labels_shares_structure_and_checks_replacements():
+    g = parse_graph("n 4\ne 0 1 2\ne 1 2 1 3\ne 2 3 4\n")
+    g2 = g.with_labels({(1, 2): (5, 2), (2, 3): [1]})
+    assert g2 == TemporalGraph(4, g.edges, ((2,), (2, 5), (1,)))
+    assert g2.edges is g.edges
+    assert g2.edge_index is g.edge_index and g2.adjacency is g.adjacency
+    assert g2.lifetime == 5 and g.labels == ((2,), (1, 3), (4,))
+    for bad in ({(0, 1): (0, 2)}, {(0, 1): (3, 3)}, {(0, 1): ()}, {(0, 2): (1,)}):
+        with pytest.raises(ValueError):
+            g.with_labels(bad)

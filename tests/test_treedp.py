@@ -94,6 +94,15 @@ def test_tree_path_per_source():
     assert allres.answer and allres.source == 1
 
 
+def test_tree_certificate_uses_fewest_moves():
+    # source 0 reaches 0, 1, 2 with no move, so the certificate must move nothing
+    g = parse_graph("n 6\ne 0 1 4 20\ne 1 2 3\ne 1 3 21\ne 3 4 20\ne 4 5 9 40")
+    res = solve_trlp_tree_all_sources(TrlpInstance(g, 1, 2, 3))
+    assert res.answer and res.source == 0
+    assert res.perturbation.moved_records() == ()
+    assert res.reach_count == 3
+
+
 def test_tree_rejects_non_tree():
     g = parse_graph("n 3\ne 0 1 1\ne 0 2 1\ne 1 2 1")
     with pytest.raises(ValueError):
