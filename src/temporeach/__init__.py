@@ -31,7 +31,7 @@ from .solvers import (
     solve_trlp_xp,
     solve_trp,
 )
-from .treedp import MckpInstance, mckp_solve, solve_trlp_tree, solve_trlp_tree_all_sources
+from .treedp import solve_trlp_tree, solve_trlp_tree_all_sources
 from .twdp import (
     NiceDecomposition,
     TreeDecomposition,
@@ -59,7 +59,6 @@ __all__ = [
     "EccInstance",
     "ForemostTree",
     "FormatError",
-    "MckpInstance",
     "NiceDecomposition",
     "Perturbation",
     "PerturbationError",
@@ -79,7 +78,6 @@ __all__ = [
     "foremost_tree",
     "make_nice",
     "max_reachability",
-    "mckp_solve",
     "oracle_ecc",
     "oracle_trlp",
     "parse_graph",

@@ -13,13 +13,14 @@ The hop variant and its decision form share one layered relaxation
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
 from .limits import CapExceeded, WorkCaps, DEFAULT_CAPS
 from .reach import ALL_EDGES, arrivals
 from .solvers import SolveResult, certificate_from_exploration, _explore
-from .tgraph import TemporalGraph, next_label_after
+from .tgraph import TemporalGraph
 
 
 @dataclass(frozen=True)
@@ -49,26 +50,32 @@ def _hop_depth(g: TemporalGraph, source: int, limit: int) -> Optional[int]:
     Round k relaxes every edge once from the earliest arrivals over paths
     with < k edges.  Exchange argument: replacing a prefix by any
     earlier-arriving one with no more hops keeps the last edge usable, so the
-    layered minimum is exact.  A journey can drop any cycle, so rounds past
-    n-1 reach nothing new.
+    layered minimum is exact.  Only the frontier, the vertices whose arrival
+    improved in the last round, is relaxed: an unchanged arrival offers each
+    neighbour what it offered a round earlier, which it already holds or beats.
+    So an empty frontier, or a round past n-1, reaches nothing new (a journey
+    can drop any cycle).
     """
     labels, adjacency = g.labels, g.adjacency
     cur: list[Optional[int]] = [None] * g.n
     cur[source] = 0
+    frontier = [source]
     left = g.n - 1
     rounds = 0
-    last = min(limit, g.n - 1)
-    while left and rounds < last:
+    while left and frontier and rounds < min(limit, g.n - 1):
         nxt = list(cur)
-        for u, tu in enumerate(cur):
-            if tu is None:
-                continue
+        improved = []
+        for u in frontier:
+            tu = cur[u]
             for w, ei in adjacency[u]:
-                t = next_label_after(labels[ei], tu)
-                if t is not None and (nxt[w] is None or t < nxt[w]):
-                    nxt[w] = t
-        cur = nxt
-        left = cur.count(None)
+                ts = labels[ei]
+                i = bisect_right(ts, tu)
+                if i < len(ts) and (nxt[w] is None or ts[i] < nxt[w]):
+                    if nxt[w] == cur[w]:  # w's first improvement this round
+                        improved.append(w)
+                        left -= cur[w] is None
+                    nxt[w] = ts[i]
+        frontier, cur = improved, nxt
         rounds += 1
     return rounds if left == 0 else None
 

@@ -14,6 +14,13 @@ the multiple-choice knapsack.
 The DP runs on ``compress_time``'s copy of the graph, so its time axis has
 horizon <= (distinct labels) * (2*delta+1) + delta whatever the size of the
 labels; the certificate is mapped back and checked on the original graph.
+
+A vertex's table depends on the root only through its parent p: its subtree
+is its component of T - p, its children are its neighbours other than p in
+adjacency order, and delta, zeta, h and the compressed graph are the same for
+every source.  So tables are keyed by the directed edge (v, p), with p = -1
+at the root, and ``solve_trlp_tree_all_sources`` shares them over all sources:
+it builds at most 2(n-1) + n tables instead of one per vertex and source.
 """
 
 from __future__ import annotations
@@ -23,24 +30,6 @@ from typing import Optional
 
 from .solvers import SolveResult, TrlpInstance, _certified_yes, _nearest_origin_label
 from .tgraph import TemporalGraph, compress_time, next_expanded_after, next_label_after
-
-
-@dataclass(frozen=True)
-class MckpInstance:
-    """One item per class must be chosen; weights/profits are nonnegative."""
-
-    capacity: int
-    classes: tuple[tuple[tuple[int, int], ...], ...]
-
-    def __post_init__(self) -> None:
-        if self.capacity < 0:
-            raise ValueError("capacity must be nonnegative")
-        for cls in self.classes:
-            if not cls:
-                raise ValueError("empty class")
-            for w, p in cls:
-                if w < 0 or p < 0:
-                    raise ValueError("negative weight or profit")
 
 
 def _mckp_table(
@@ -65,12 +54,6 @@ def _mckp_table(
     return dp, choice
 
 
-def mckp_solve(inst: MckpInstance) -> list[Optional[int]]:
-    """Best total profit for every capacity 0..c (None where infeasible)."""
-    best, _ = _mckp_table(inst.classes, inst.capacity)
-    return best
-
-
 @dataclass(frozen=True)
 class _Pair:
     weight: int
@@ -80,11 +63,14 @@ class _Pair:
     edge_time: Optional[int]
 
 
-def _tree_order(g: TemporalGraph, source: int) -> tuple[list[int], list[list[int]]]:
-    """(postorder, children lists) of the tree rooted at source."""
+def _tree_order(
+    g: TemporalGraph, source: int
+) -> tuple[list[int], list[list[int]], list[int]]:
+    """(postorder, children lists, parents) of the tree rooted at source."""
     if len(g.edges) != g.n - 1:
         raise ValueError("underlying graph is not a connected tree")
     children: list[list[int]] = [[] for _ in range(g.n)]
+    parent = [-1] * g.n
     seen = [False] * g.n
     seen[source] = True
     order = []
@@ -96,10 +82,11 @@ def _tree_order(g: TemporalGraph, source: int) -> tuple[list[int], list[list[int
             if not seen[w]:
                 seen[w] = True
                 children[v].append(w)
+                parent[w] = v
                 stack.append(w)
     if len(order) != g.n:
         raise ValueError("underlying graph is not a connected tree")
-    return list(reversed(order)), children
+    return list(reversed(order)), children, parent
 
 
 def _child_pairs(
@@ -123,23 +110,27 @@ def _child_pairs(
                 pairs.append(_Pair(z + 1, value_c[z][dep], "moved", z, t2))
     best: dict[int, _Pair] = {}
     for p in pairs:
-        if p.weight > zeta:
-            continue
         cur = best.get(p.weight)
         if cur is None or p.profit > cur.profit:
             best[p.weight] = p
     return [best[w] for w in sorted(best)]
 
 
-def _value_tables(inst: TrlpInstance, source: int) -> tuple[list, list, list]:
-    """Per-vertex value[z][t] tables (r capped at h), postorder, children."""
+def _value_tables(
+    inst: TrlpInstance, source: int, tables: Optional[dict] = None
+) -> tuple[list, list, list]:
+    """Per-vertex value[z][t] tables (r capped at h), postorder, children.
+    ``tables`` maps (v, parent or -1) to v's table: tables found there are
+    reused and tables built are added, so sources of one instance share them."""
     g, zeta, delta, h = inst.graph, inst.zeta, inst.delta, inst.h
     horizon = g.lifetime + delta
-    post, children = _tree_order(g, source)
+    post, children, parent = _tree_order(g, source)
+    tables = {} if tables is None else tables
     value: list = [None] * g.n
     for v in post:
-        if not children[v]:
-            value[v] = [[1] * (horizon + 2) for _ in range(zeta + 1)]
+        key = (v, parent[v])
+        if key in tables:
+            value[v] = tables[key]
             continue
         table = [[0] * (horizon + 2) for _ in range(zeta + 1)]
         for z in range(zeta + 1):
@@ -153,7 +144,7 @@ def _value_tables(inst: TrlpInstance, source: int) -> tuple[list, list, list]:
             best, _ = _mckp_table(classes, zeta)
             for z in range(zeta + 1):
                 table[z][t] = min(1 + (best[z] or 0), h)
-        value[v] = table
+        value[v] = tables[key] = table
     return value, post, children
 
 
@@ -192,11 +183,14 @@ def _reconstruct(
         )
 
 
-def solve_trlp_tree(inst: TrlpInstance, source: int) -> SolveResult:
-    """Exact answer for one source on a tree-shaped instance."""
+def solve_trlp_tree(
+    inst: TrlpInstance, source: int, *, tables: Optional[dict] = None
+) -> SolveResult:
+    """Exact answer for one source on a tree-shaped instance; calls on one
+    instance may share ``tables`` (see ``_value_tables``)."""
     g, shift = compress_time(inst.graph, inst.delta)
     small = replace(inst, graph=g)
-    value, _post, children = _value_tables(small, source)
+    value, _post, children = _value_tables(small, source, tables)
     score = value[source][inst.zeta][0]
     if score < inst.h:
         return SolveResult(False, "tree", source=source, reach_count=score)
@@ -209,10 +203,11 @@ def solve_trlp_tree(inst: TrlpInstance, source: int) -> SolveResult:
 
 
 def solve_trlp_tree_all_sources(inst: TrlpInstance) -> SolveResult:
-    """First-yes over sources in ascending id order."""
+    """First-yes over sources in ascending id order, sharing subtree tables."""
     best = 0
+    tables: dict = {}
     for source in range(inst.graph.n):
-        res = solve_trlp_tree(inst, source)
+        res = solve_trlp_tree(inst, source, tables=tables)
         if res.answer:
             return res
         best = max(best, res.reach_count)

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from temporeach.ecc import (
     EccInstance,
+    _hop_depth,
     ecc_within,
     fastest_ecc,
     measure,
@@ -54,6 +56,48 @@ def brute_fastest_ecc(g, source):
 
     walk(source, None, 0, {source})
     return max(best.values()) if len(best) == g.n else None
+
+
+def brute_hop_depth(g, source, limit):
+    # layered search over (vertex, arrival) states: layer k holds every state
+    # some strict temporal walk with exactly k edges ends in
+    layer = {(source, 0)}
+    reached = {source}
+    for k in range(limit + 1):
+        if len(reached) == g.n:
+            return k
+        layer = {
+            (w, lab)
+            for v, t in layer
+            for w, ei in g.adjacency[v]
+            for lab in g.labels[ei]
+            if lab > t
+        }
+        reached |= {w for w, _ in layer}
+    return None
+
+
+def test_hop_depth_matches_layered_search():
+    # multi-label edges let a vertex reached early in hops be reached earlier
+    # in time a few hops later; that improvement must be relaxed again
+    rng = random.Random("hop-depth")
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = sorted(rng.sample(pairs, rng.randint(0, len(pairs))))
+        labels = tuple(
+            tuple(sorted(rng.sample(range(1, 7), rng.randint(1, 3)))) for _ in edges
+        )
+        g = TemporalGraph(n, tuple(edges), labels)
+        for source in range(n):
+            for limit in range(n + 1):
+                assert _hop_depth(g, source, limit) == brute_hop_depth(g, source, limit)
+
+
+def test_hop_depth_relaxes_improved_arrivals():
+    # 1 is reached at 10 in one hop, improves to 2 in two; only then is 3 reachable
+    g = parse_graph("n 4\ne 0 1 10\ne 0 2 1\ne 1 2 2\ne 1 3 5")
+    assert _hop_depth(g, 0, 3) == 3 == brute_hop_depth(g, 0, 3)
 
 
 def test_shortest_examples():

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -6,19 +7,24 @@ from hypothesis import strategies as st
 
 from temporeach.reach import arrivals
 from temporeach.solvers import TrlpInstance
-from temporeach.tgraph import TemporalGraph, apply_perturbation, parse_graph
+from temporeach import treedp
+from temporeach.tgraph import TemporalGraph, apply_perturbation, compress_time, parse_graph
 from temporeach.testkit import oracle_trlp_max_reach, random_instance
 from temporeach.treedp import (
-    MckpInstance,
+    _mckp_table,
     _reconstruct,
     _value_tables,
-    mckp_solve,
     solve_trlp_tree,
     solve_trlp_tree_all_sources,
 )
 
 
 # --- MCKP --------------------------------------------------------------------
+
+
+def mckp_solve(cap, classes):
+    # best total profit for every capacity 0..cap (None where infeasible)
+    return _mckp_table(classes, cap)[0]
 
 
 def exhaustive_mckp(classes, cap):
@@ -33,23 +39,19 @@ def exhaustive_mckp(classes, cap):
 
 
 def test_mckp_example():
-    inst = MckpInstance(2, (((0, 0), (1, 3)), ((0, 0), (2, 4))))
-    assert mckp_solve(inst) == [0, 3, 4]
+    assert mckp_solve(2, (((0, 0), (1, 3)), ((0, 0), (2, 4)))) == [0, 3, 4]
 
 
 def test_mckp_all_weight_zero():
-    inst = MckpInstance(3, (((0, 1), (0, 5)), ((0, 2),)))
-    assert mckp_solve(inst) == [7, 7, 7, 7]
+    assert mckp_solve(3, (((0, 1), (0, 5)), ((0, 2),))) == [7, 7, 7, 7]
 
 
 def test_mckp_forced_single_choice():
-    inst = MckpInstance(2, (((0, 0),),))
-    assert mckp_solve(inst) == [0, 0, 0]
+    assert mckp_solve(2, (((0, 0),),)) == [0, 0, 0]
 
 
 def test_mckp_infeasible_marker():
-    inst = MckpInstance(2, (((3, 9),),))
-    assert mckp_solve(inst) == [None, None, None]
+    assert mckp_solve(2, (((3, 9),),)) == [None, None, None]
 
 
 @settings(max_examples=200, deadline=None)
@@ -62,8 +64,7 @@ def test_mckp_infeasible_marker():
     st.integers(0, 6),
 )
 def test_mckp_matches_exhaustive(classes, cap):
-    inst = MckpInstance(cap, tuple(tuple(c) for c in classes))
-    assert mckp_solve(inst) == exhaustive_mckp(classes, cap)
+    assert mckp_solve(cap, tuple(tuple(c) for c in classes)) == exhaustive_mckp(classes, cap)
 
 
 # --- tree DP ------------------------------------------------------------------
@@ -126,6 +127,52 @@ def test_tree_state_monotonicity_and_maximality():
                 if z < inst.zeta:
                     for t in range(horizon + 1):
                         assert table[z + 1][t] >= table[z][t]
+
+
+def seeded_tree(rng, n, max_labels, offset):
+    # random labelled tree: vertex v joins a random earlier vertex
+    edges = sorted((rng.randrange(v), v) for v in range(1, n))
+    labels = tuple(
+        tuple(sorted(rng.sample(range(offset, offset + 6), rng.randint(1, max_labels))))
+        for _ in edges
+    )
+    return TemporalGraph(n, tuple(edges), labels)
+
+
+def test_shared_tables_equal_fresh_per_source():
+    rng = random.Random("shared-tables")
+    for _ in range(120):
+        g = seeded_tree(rng, rng.randint(1, 10), 3, rng.choice((1, 3, 50)))
+        delta = rng.randint(0, 2)
+        small, _shift = compress_time(g, delta)
+        inst = TrlpInstance(small, delta, rng.randint(0, 3), rng.randint(1, g.n))
+        tables = {}
+        for source in range(g.n):
+            shared, _post, children = _value_tables(inst, source, tables)
+            fresh, _post, fresh_children = _value_tables(inst, source)
+            assert shared == fresh
+            assert children == fresh_children
+        assert len(tables) <= 3 * g.n - 2
+
+
+def test_all_sources_builds_each_subtree_table_once(monkeypatch):
+    # a "no" on a 40-vertex tree tries every source; without shared tables
+    # every source would rebuild every internal vertex's table
+    g = seeded_tree(random.Random("forty"), 40, 2, 1)
+    inst = TrlpInstance(g, 1, 3, g.n)
+    calls = 0
+    real = treedp._mckp_table
+
+    def counting(classes, cap):
+        nonlocal calls
+        calls += 1
+        return real(classes, cap)
+
+    monkeypatch.setattr(treedp, "_mckp_table", counting)
+    res = solve_trlp_tree_all_sources(inst)
+    assert not res.answer
+    horizon = compress_time(g, inst.delta)[0].lifetime + inst.delta
+    assert calls <= (3 * g.n - 2) * (horizon + 2)
 
 
 def subtree_vertices(g, source, v):
