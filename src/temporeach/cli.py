@@ -20,8 +20,8 @@ from .reach import foremost_tree, max_reachability, reach_set
 from .solvers import SolveResult, TrlpInstance, solve_trlp, solve_trp
 from .tgraph import (
     FormatError,
-    PerturbationError,
     TemporalGraph,
+    _parse_lines,
     apply_perturbation,
     parse_graph,
     parse_perturbation,
@@ -113,9 +113,7 @@ def trlp(graph_path, delta, zeta, h, strategy, decomp_path, as_json) -> None:
             with open(decomp_path, "r", encoding="utf-8") as fh:
                 decomp = twdp.parse_decomposition(fh.read())
         res = solve_trlp(inst, strategy=strategy, decomposition=decomp)
-    except CapExceeded as exc:
-        _refuse(str(exc), as_json)
-    except (FormatError, PerturbationError, ValueError, twdp.DecompositionError) as exc:
+    except (CapExceeded, ValueError) as exc:
         _refuse(str(exc), as_json)
     _finish(res, as_json)
 
@@ -130,7 +128,7 @@ def trp(graph_path, delta, h, as_json) -> None:
     try:
         g = _load_graph(graph_path)
         res = solve_trp(g, delta, h)
-    except (FormatError, ValueError) as exc:
+    except ValueError as exc:
         _refuse(str(exc), as_json)
     _finish(res, as_json)
 
@@ -149,9 +147,7 @@ def ecc(graph_path, source, variant, k, delta, zeta, as_json) -> None:
         g = _load_graph(graph_path)
         inst = eccmod.EccInstance(g, source, k, delta, zeta, variant)
         res = eccmod.solve_ecc_perturbed(inst)
-    except CapExceeded as exc:
-        _refuse(str(exc), as_json)
-    except (FormatError, ValueError) as exc:
+    except (CapExceeded, ValueError) as exc:
         _refuse(str(exc), as_json)
     _finish(res, as_json)
 
@@ -197,37 +193,47 @@ def _write_out(text: str, out: Optional[str]) -> None:
         click.echo(text, nl=False, file=sys.stdout)
 
 
+def _write_trlp_instance(inst: TrlpInstance, out: Optional[str]) -> None:
+    text = serialize_graph(inst.graph) + f"delta {inst.delta}\nzeta {inst.zeta}\nh {inst.h}\n"
+    _write_out(text, out)
+
+
 @gen.command("domset")
 @click.option("-g", "--graph", "graph_path", required=True, type=click.Path(exists=True))
 @click.option("-r", required=True, type=int)
 @click.option("-o", "--out", type=click.Path())
 def gen_domset(graph_path, r, out) -> None:
-    """Reduce a dominating-set question on a static graph (.tg labels ignored
-    are not allowed; use `e u v` lines only as a static edge list)."""
-    with open(graph_path, "r", encoding="utf-8") as fh:
-        sg = _parse_static(fh.read())
-    inst = testkit.domset_to_trlp(sg, r)
-    text = serialize_graph(inst.graph) + (
-        f"delta {inst.delta}\nzeta {inst.zeta}\nh {inst.h}\n"
-    )
-    _write_out(text, out)
+    """Reduce a dominating-set question on a static graph: an `n` line and
+    `e u v` lines; any labels after `e u v` are ignored."""
+    try:
+        with open(graph_path, "r", encoding="utf-8") as fh:
+            sg = _parse_static(fh.read())
+        inst = testkit.domset_to_trlp(sg, r)
+    except ValueError as exc:
+        _refuse(str(exc), False)
+    _write_trlp_instance(inst, out)
 
 
 def _parse_static(text: str) -> testkit.StaticGraph:
+    """An `n <count>` line and `e u v` lines; fields after `e u v` are ignored."""
     n = None
     edges = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] == "n":
-            n = int(parts[1])
-        elif parts[0] == "e":
-            u, v = int(parts[1]), int(parts[2])
-            edges.append((min(u, v), max(u, v)))
+    for line_no, parts in _parse_lines(text):
+        kind = parts[0]
+        if kind not in ("n", "e"):
+            raise FormatError(line_no, f"unknown line kind {kind!r}")
+        need = 2 if kind == "n" else 3
+        if len(parts) < need:
+            raise FormatError(line_no, f"'{kind}' line too short")
+        try:
+            ids = [int(x) for x in parts[1:need]]
+        except ValueError:
+            raise FormatError(line_no, f"non-integer field on '{kind}' line") from None
+        if kind == "n":
+            n = ids[0]
         else:
-            raise FormatError(line_no, f"unknown line kind {parts[0]!r}")
+            u, v = ids
+            edges.append((min(u, v), max(u, v)))
     if n is None:
         raise FormatError(0, "missing 'n' line")
     return testkit.StaticGraph(n, tuple(sorted(edges)))
@@ -240,10 +246,7 @@ def _parse_static(text: str) -> testkit.StaticGraph:
 @click.option("-o", "--out", type=click.Path())
 def gen_sat_tsep(cnf_path, k, delta, out) -> None:
     """Length-eccentricity gadget from a DIMACS CNF formula."""
-    with open(cnf_path, "r", encoding="utf-8") as fh:
-        f = testkit.parse_dimacs(fh.read())
-    inst = testkit.sat_to_tsep(f, k, delta)
-    _write_out(_ecc_instance_text(inst), out)
+    _write_gadget(cnf_path, testkit.sat_to_tsep, k, delta, out)
 
 
 @gen.command("sat-tfaep")
@@ -257,17 +260,21 @@ def gen_sat_tfaep(cnf_path, k, delta, out) -> None:
     -k is the duration bound under unit traversal time; the `k` line written
     is one less, in the last-minus-first convention that `ecc` uses.
     """
-    with open(cnf_path, "r", encoding="utf-8") as fh:
-        f = testkit.parse_dimacs(fh.read())
-    inst = testkit.sat_to_tfaep(f, k, delta)
-    _write_out(_ecc_instance_text(inst), out)
+    _write_gadget(cnf_path, testkit.sat_to_tfaep, k, delta, out)
 
 
-def _ecc_instance_text(inst: eccmod.EccInstance) -> str:
-    return serialize_graph(inst.graph) + (
+def _write_gadget(cnf_path, reduction, k, delta, out) -> None:
+    try:
+        with open(cnf_path, "r", encoding="utf-8") as fh:
+            f = testkit.parse_dimacs(fh.read())
+        inst = reduction(f, k, delta)
+    except ValueError as exc:
+        _refuse(str(exc), False)
+    text = serialize_graph(inst.graph) + (
         f"delta {inst.delta}\nzeta {inst.zeta}\nk {inst.k}\n"
         f"source {inst.source}\nvariant {inst.variant}\n"
     )
+    _write_out(text, out)
 
 
 @gen.command("random")
@@ -277,10 +284,7 @@ def _ecc_instance_text(inst: eccmod.EccInstance) -> str:
 def gen_random(profile, seed, out) -> None:
     """Seeded random micro instance."""
     inst = testkit.random_instance(seed, profile)
-    text = serialize_graph(inst.graph) + (
-        f"delta {inst.delta}\nzeta {inst.zeta}\nh {inst.h}\n"
-    )
-    _write_out(text, out)
+    _write_trlp_instance(inst, out)
 
 
 @main.command()
@@ -301,7 +305,7 @@ def verify(graph_path, pert_path, source, h, variant, k, as_json) -> None:
             raise ValueError(f"source {source} out of range")
         perturbed = apply_perturbation(g, p)
         moved = validate_relabelling(g, perturbed, p.delta)
-    except (FormatError, PerturbationError, ValueError) as exc:
+    except ValueError as exc:
         _refuse(str(exc), as_json)
     fields: list[tuple[str, object]] = []
     ok = moved is not None and moved <= p.zeta
@@ -340,9 +344,7 @@ def oracle_trlp_cmd(graph_path, delta, zeta, h, as_json) -> None:
     try:
         g = _load_graph(graph_path)
         res = testkit.oracle_trlp(TrlpInstance(g, delta, zeta, h))
-    except CapExceeded as exc:
-        _refuse(str(exc), as_json)
-    except (FormatError, ValueError) as exc:
+    except (CapExceeded, ValueError) as exc:
         _refuse(str(exc), as_json)
     _finish(res, as_json)
 
@@ -360,9 +362,7 @@ def oracle_ecc_cmd(graph_path, source, variant, k, delta, zeta, as_json) -> None
         g = _load_graph(graph_path)
         inst = eccmod.EccInstance(g, source, k, delta, zeta, variant)
         res = testkit.oracle_ecc(inst)
-    except CapExceeded as exc:
-        _refuse(str(exc), as_json)
-    except (FormatError, ValueError) as exc:
+    except (CapExceeded, ValueError) as exc:
         _refuse(str(exc), as_json)
     _finish(res, as_json)
 

@@ -17,7 +17,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
-from .limits import CapExceeded, WorkCaps, DEFAULT_CAPS
+from .limits import WorkCaps, DEFAULT_CAPS
 from .reach import ALL_EDGES, arrivals
 from .solvers import SolveResult, certificate_from_exploration, _explore
 from .tgraph import TemporalGraph

@@ -47,18 +47,6 @@ class ForemostTree:
     def count(self) -> int:
         return sum(1 for a in self.arrival if a is not None)
 
-    def path_to(self, v: int) -> list[tuple[int, int, int]]:
-        """Tree path to v as (u, w, time) hops from the source."""
-        if self.arrival[v] is None:
-            raise ValueError(f"vertex {v} is unreachable")
-        hops = []
-        while self.parent[v] is not None:
-            u = self.parent[v]
-            hops.append((u, v, self.edge_time[v]))
-            v = u
-        hops.reverse()
-        return hops
-
 
 def explore(
     g: TemporalGraph,
@@ -153,20 +141,3 @@ def max_reachability(g: TemporalGraph) -> tuple[int, int]:
     best = max(counts)
     return counts.index(best), best
 
-
-def sparsify_for_source(g: TemporalGraph, source: int) -> TemporalGraph:
-    """Keep only the foremost-tree edges, each at the single time its chosen
-    path uses it; foremost arrivals and the reach set from ``source`` are
-    unchanged."""
-    tree = foremost_tree(g, source)
-    kept: dict[tuple[int, int], int] = {}
-    for v in range(g.n):
-        u = tree.parent[v]
-        if u is None:
-            continue
-        e = (u, v) if u < v else (v, u)
-        t = tree.edge_time[v]
-        if e not in kept or t < kept[e]:
-            kept[e] = t
-    edges = tuple(sorted(kept))
-    return TemporalGraph(g.n, edges, tuple((kept[e],) for e in edges))

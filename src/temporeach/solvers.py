@@ -60,15 +60,6 @@ def _explore(
     return explore(g, source, delta, eset, 0)
 
 
-def explore_with_perturbable_set(
-    g: TemporalGraph, source: int, k: int, delta: int, eset: frozenset[tuple[int, int]]
-) -> bool:
-    """True iff some delta-perturbation touching only edges in ``eset`` lets
-    ``source`` reach at least k vertices."""
-    idx = frozenset(g.edge_index[e] for e in eset)
-    return _explore(g, source, delta, idx).count() >= k
-
-
 def _nearest_origin_label(labels: tuple[int, ...], target: int, delta: int) -> int:
     """Original appearance to move onto ``target``: nearest, ties to smaller."""
     best = None
@@ -276,15 +267,12 @@ def solve_trlp(
         return _obs1_result(inst)
     if inst.zeta >= inst.h - 1:
         return solve_trlp_big_zeta(inst)
-    if g.n >= 1 and _is_tree(g):
+    if _is_tree(g):
         return treedp.solve_trlp_tree_all_sources(inst)
     decomp = decomposition
     if decomp is None and g.n <= 20:
-        try:
-            decomp = twdp.decompose_exact_small(g.n, g.edges)
-        except CapExceeded:
-            decomp = None
-    if decomp is not None and twdp.width(decomp) <= caps.tw_width:
+        decomp = twdp.decompose_exact_small(g.n, g.edges)
+    if decomp is not None and decomp.width() <= caps.tw_width:
         try:
             return twdp.solve_trlp_treewidth(inst, decomp, caps=caps)
         except CapExceeded:

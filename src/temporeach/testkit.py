@@ -79,6 +79,8 @@ def parse_dimacs(text: str) -> CnfFormula:
             continue
         if line.startswith("p"):
             parts = line.split()
+            if len(parts) < 3:
+                raise ValueError(f"problem line {line!r} has no variable count")
             num_vars = int(parts[2])
             continue
         lits = [int(x) for x in line.split()]

@@ -76,11 +76,6 @@ class TemporalGraph:
         return max((ts[-1] for ts in self.labels), default=0)
 
     @cached_property
-    def temporality(self) -> int:
-        """Maximum number of labels on any one edge (0 if there are no edges)."""
-        return max((len(ts) for ts in self.labels), default=0)
-
-    @cached_property
     def edge_index(self) -> dict[Edge, int]:
         return {e: i for i, e in enumerate(self.edges)}
 
@@ -93,9 +88,6 @@ class TemporalGraph:
             adj[v].append((u, i))
         return tuple(tuple(sorted(a)) for a in adj)
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     def max_degree(self) -> int:
         return max((len(a) for a in self.adjacency), default=0)
 
@@ -103,11 +95,6 @@ class TemporalGraph:
         if u > v:
             u, v = v, u
         return self.labels[self.edge_index[(u, v)]]
-
-    def time_edges(self) -> Iterator[tuple[Edge, int]]:
-        for e, ts in zip(self.edges, self.labels):
-            for t in ts:
-                yield e, t
 
     def num_time_edges(self) -> int:
         return sum(len(ts) for ts in self.labels)

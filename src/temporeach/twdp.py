@@ -30,7 +30,7 @@ from typing import NamedTuple, Optional
 
 from .limits import CapExceeded, WorkCaps, DEFAULT_CAPS
 from .solvers import SolveResult, TrlpInstance, _certified_yes
-from .tgraph import Edge, compress_time, matching_records, minimal_moves
+from .tgraph import Edge, _parse_lines, compress_time, matching_records, minimal_moves
 
 
 class DecompositionError(ValueError):
@@ -47,10 +47,6 @@ class TreeDecomposition:
 
     def width(self) -> int:
         return max((len(b) for b in self.bags), default=1) - 1
-
-
-def width(decomp: TreeDecomposition) -> int:
-    return decomp.width()
 
 
 def validate_decomposition(
@@ -280,21 +276,28 @@ def make_nice(
     return NiceDecomposition(tuple(nodes))
 
 
-def parse_decomposition(text: str) -> TreeDecomposition:
+def parse_decomposition(text: str | bytes) -> TreeDecomposition:
     """Lines ``b <node-id> <v...>`` (bags) and ``t <a> <b>`` (tree links)."""
     bags: dict[int, frozenset[int]] = {}
     links: list[tuple[int, int]] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] == "b":
-            bags[int(parts[1])] = frozenset(int(x) for x in parts[2:])
-        elif parts[0] == "t":
-            links.append((int(parts[1]), int(parts[2])))
+    for line_no, parts in _parse_lines(text):
+        kind = parts[0]
+        if kind not in ("b", "t"):
+            raise DecompositionError(f"line {line_no}: unknown line kind {kind!r}")
+        if kind == "b" and len(parts) < 2:
+            raise DecompositionError(f"line {line_no}: 'b' line needs a node id")
+        if kind == "t" and len(parts) != 3:
+            raise DecompositionError(f"line {line_no}: 't' line needs exactly two node ids")
+        try:
+            ids = [int(x) for x in parts[1:]]
+        except ValueError:
+            raise DecompositionError(f"line {line_no}: non-integer field on {kind!r} line") from None
+        if kind == "t":
+            links.append((ids[0], ids[1]))
+        elif ids[0] in bags:
+            raise DecompositionError(f"line {line_no}: repeated bag id {ids[0]}")
         else:
-            raise DecompositionError(f"line {line_no}: unknown line kind {parts[0]!r}")
+            bags[ids[0]] = frozenset(ids[1:])
     ids = sorted(bags)
     remap = {x: i for i, x in enumerate(ids)}
     try:
@@ -302,12 +305,6 @@ def parse_decomposition(text: str) -> TreeDecomposition:
     except KeyError as exc:
         raise DecompositionError(f"link references unknown node {exc}") from None
     return TreeDecomposition(tuple(bags[x] for x in ids), link_ids)
-
-
-def serialize_decomposition(decomp: TreeDecomposition) -> str:
-    out = [f"b {i} " + " ".join(str(v) for v in sorted(b)) for i, b in enumerate(decomp.bags)]
-    out += [f"t {a} {b}" for a, b in decomp.links]
-    return "\n".join(out) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -367,12 +364,6 @@ class _Ctx:
         self._images[ei] = out
         return out
 
-    def u_enum(self, bag: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-        return _u_enum(self.uvals, len(bag))
-
-    def u_index(self, bag: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-        return _u_index(self.uvals, len(bag))
-
 
 @lru_cache(maxsize=64)
 def _u_enum(uvals: tuple[int, ...], size: int) -> tuple[tuple[int, ...], ...]:
@@ -392,10 +383,6 @@ def _first_label_at_or_after(labels: tuple[int, ...], t: int, inf: int) -> int:
 def _first_label_after(labels: tuple[int, ...], t: int, inf: int) -> int:
     i = bisect_left(labels, t + 1)
     return labels[i] if i < len(labels) else inf
-
-
-def _leaf_state(ctx: _Ctx) -> TwState:
-    return TwState((), (), (0,), 0)
 
 
 def _bag_cost(ctx: _Ctx, bag_edges: tuple[Edge, ...], p: tuple) -> int:
@@ -423,8 +410,8 @@ def _introduce_states(
     nbrs = tuple(w for w in bs if w != u and (min(u, w), max(u, w)) in new_set)
     image_lists = [ctx.images(e) for e in new_edges]
     times = range(horizon + 1)
-    u_all = ctx.u_enum(bag)
-    child_uidx = ctx.u_index(child_bag)
+    u_all = _u_enum(ctx.uvals, len(bag))
+    child_uidx = _u_index(ctx.uvals, len(child_bag))
     out: dict[TwState, tuple] = {}
 
     for ckey in sorted(child_states):
@@ -554,8 +541,8 @@ def _forget_states(
     edges_child = ctx.bag_edges(child_bag)
     child_pos = {e: i for i, e in enumerate(edges_child)}
     keep_cols = [cidx[v] for v in bag]
-    u_all = ctx.u_enum(bag)
-    child_uidx = ctx.u_index(child_bag)
+    u_all = _u_enum(ctx.uvals, len(bag))
+    child_uidx = _u_index(ctx.uvals, len(child_bag))
     out: dict[TwState, tuple] = {}
     for ckey in sorted(child_states):
         counter[0] += 1
@@ -655,8 +642,8 @@ def _join_states(
 ) -> dict[TwState, tuple]:
     horizon, inf = ctx.horizon, ctx.inf
     edges_s = ctx.bag_edges(bag)
-    u_all = ctx.u_enum(bag)
-    uidx = ctx.u_index(bag)
+    u_all = _u_enum(ctx.uvals, len(bag))
+    uidx = _u_index(ctx.uvals, len(bag))
     by_p_right: dict[tuple, list[TwState]] = {}
     for rkey in sorted(right):
         by_p_right.setdefault(rkey.p, []).append(rkey)
@@ -698,7 +685,7 @@ def _node_states(ctx, nice, node_id, child_state_sets, counter):
     state sets (keys are states; values are witnessing child-state tuples)."""
     node = nice.nodes[node_id]
     if node.kind == "leaf":
-        return {_leaf_state(ctx): ()}
+        return {TwState((), (), (0,), 0): ()}
     if node.kind == "introduce":
         child = nice.nodes[node.children[0]]
         return _introduce_states(
@@ -725,7 +712,7 @@ def _solve_for_source(
     root = nice.root
     root_bag = nice.nodes[root].bag
     assert root_bag == (source,)
-    uidx = ctx.u_index(root_bag)
+    uidx = _u_index(ctx.uvals, len(root_bag))
     zero = uidx[(0,)]
     accepted = None
     for key in sorted(states[root]):

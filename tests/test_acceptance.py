@@ -9,19 +9,14 @@ import itertools
 import random
 import time
 
-import pytest
 from click.testing import CliRunner
 
 from temporeach.cli import main as cli_main
-from temporeach.ecc import EccInstance, measure, solve_ecc_perturbed
+from temporeach.ecc import EccInstance, solve_ecc_perturbed
 from temporeach.limits import WorkCaps
 from temporeach.reach import arrivals
 from temporeach.solvers import (
-    ALL_EDGES,
     TrlpInstance,
-    _explore,
-    certificate_from_exploration,
-    explore_with_perturbable_set,
     solve_trlp_big_zeta,
     solve_trlp_xp,
     solve_trp,
@@ -48,6 +43,8 @@ from temporeach.testkit import (
 )
 from temporeach.treedp import solve_trlp_tree_all_sources
 from temporeach.twdp import decompose_exact_small, solve_trlp_treewidth
+
+from test_solvers import explore_with_perturbable_set
 
 # yes-results harvested by criteria 1-8 and re-verified in criterion 10:
 # entries are (graph, source, perturbation, ("reach", h) | (variant, k))

@@ -13,6 +13,8 @@ FIG_STATIC = "n 5\ne 0 1\ne 0 3\ne 1 3\ne 1 4\ne 2 4\n"
 # labels >= 2 (= delta+1), so shifting them never meets the floor of 1
 DP_TREE_TG = "n 6\ne 0 1 4 20\ne 1 2 3\ne 1 3 21\ne 3 4 20\ne 4 5 9 40\n"
 DP_CYCLE_TG = "n 5\ne 0 1 3\ne 0 4 2\ne 1 2 3\ne 2 3 12\ne 3 4 12\n"
+# a width-2 decomposition of DP_CYCLE_TG with node ids that are not 0..k-1
+DP_CYCLE_DECOMP = "b 7 0 1 4\nb 3 1 3 4\nb 5 1 2 3\nt 7 3\nt 3 5\n"
 
 
 @pytest.fixture
@@ -158,6 +160,32 @@ def test_gen_sat_and_oracle_agreement(runner, tmp_path):
     assert "variant shortest" in text and "k 4" in text
 
 
+@pytest.mark.parametrize(
+    "command, text, extra, reason",
+    [
+        ("domset", "n 3\ne 0 1\nx 1 2\n", ["-r", "1"], "line 3: unknown line kind 'x'"),
+        ("domset", "n 3\ne 0\n", ["-r", "1"], "line 2: 'e' line too short"),
+        ("domset", FIG_STATIC, ["-r", "0"], "r must be >= 1"),
+        ("sat-tsep", "p cnf 1 1\n1 x 0\n", [], "invalid literal for int() with base 10: 'x'"),
+        ("sat-tfaep", "p cnf\n1 0\n", [], "problem line 'p cnf' has no variable count"),
+    ],
+    ids=["domset-kind", "domset-short", "domset-r0", "tsep-literal", "tfaep-problem-line"],
+)
+def test_gen_malformed_input_refused(runner, tmp_path, command, text, extra, reason):
+    flag = "-g" if command == "domset" else "-f"
+    res = runner.invoke(main, ["gen", command, flag, write(tmp_path, "in.txt", text), *extra])
+    assert res.exit_code == 2
+    assert res.output == f"REFUSED {reason}\n"
+
+
+def test_gen_domset_ignores_labels(runner, tmp_path):
+    plain = runner.invoke(main, ["gen", "domset", "-g", write(tmp_path, "a.txt", FIG_STATIC), "-r", "2"])
+    labelled = FIG_STATIC.replace("e 0 1\n", "e 0 1 5 x\n")
+    res = runner.invoke(main, ["gen", "domset", "-g", write(tmp_path, "b.txt", labelled), "-r", "2"])
+    assert res.exit_code == plain.exit_code == 0
+    assert res.output == plain.output
+
+
 def test_gen_random_deterministic(runner, tmp_path):
     a = runner.invoke(main, ["gen", "random", "--profile", "tree", "--seed", "5"])
     b = runner.invoke(main, ["gen", "random", "--profile", "tree", "--seed", "5"])
@@ -187,6 +215,53 @@ def test_parse_error_exit_two(runner, tmp_path):
     res = runner.invoke(main, ["trlp", "-g", gpath, "--delta", "1", "--zeta", "1", "--h", "2"])
     assert res.exit_code == 2
     assert "REFUSED" in res.output
+
+
+@pytest.mark.parametrize("zeta, code", [(0, 1), (1, 0)])
+def test_trlp_decomp_file_answers_like_exact(runner, tmp_path, zeta, code):
+    args = ["trlp", "-g", write(tmp_path, "c.tg", DP_CYCLE_TG), "--delta", "1",
+            "--zeta", str(zeta), "--h", "5", "--strategy", "treewidth"]
+    exact = runner.invoke(main, args)
+    given = runner.invoke(main, [*args, "--decomp", write(tmp_path, "d.txt", DP_CYCLE_DECOMP)])
+    assert exact.exit_code == given.exit_code == code
+    assert given.output == exact.output
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        (DP_CYCLE_DECOMP + "t 0\n", "line 6: 't' line needs exactly two node ids"),
+        ("b\n", "line 1: 'b' line needs a node id"),
+        ("b 0 0 x\n", "line 1: non-integer field on 'b' line"),
+        ("b 0 0 1 2 3 4\nt 0 y\n", "line 2: non-integer field on 't' line"),
+        ("b 0 0 1 2\nb 0 0 2 3 4\n", "line 2: repeated bag id 0"),
+        ("q 1\n", "line 1: unknown line kind 'q'"),
+    ],
+    ids=["short-t", "short-b", "b-field", "t-field", "repeated-b", "kind"],
+)
+def test_trlp_malformed_decomp_refused(runner, tmp_path, text, reason):
+    args = ["trlp", "-g", write(tmp_path, "c.tg", DP_CYCLE_TG), "--delta", "1", "--zeta", "1",
+            "--h", "5", "--strategy", "treewidth", "--decomp", write(tmp_path, "d.txt", text)]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2
+    assert res.output == f"REFUSED {reason}\n"
+
+
+@pytest.mark.parametrize(
+    "text, strategy, zeta, h, reason",
+    [
+        (CHAIN4_TG, "degree", 1, 4, "degree bound does not apply: h > max degree + 1"),
+        (CHAIN4_TG, "bigzeta", 1, 4, "big-zeta route requires zeta >= h - 1"),
+        (DP_CYCLE_TG, "tree", 1, 5, "underlying graph is not a connected tree"),
+    ],
+    ids=["degree", "bigzeta", "tree"],
+)
+def test_forced_strategy_that_does_not_apply_refused(runner, tmp_path, text, strategy, zeta, h, reason):
+    args = ["trlp", "-g", write(tmp_path, "g.tg", text), "--delta", "1", "--zeta", str(zeta),
+            "--h", str(h), "--strategy", strategy]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2
+    assert res.output == f"REFUSED {reason}\n"
 
 
 def test_reach_empty_graph_refused(runner, tmp_path):

@@ -13,13 +13,41 @@ from temporeach.reach import (
     max_reachability,
     reach_counts,
     reach_set,
-    sparsify_for_source,
 )
 from temporeach.cli import main
 from temporeach.solvers import ALL_EDGES, _explore
 from temporeach.tgraph import TemporalGraph, parse_graph
 
 from test_tgraph import temporal_graphs
+
+
+def path_to(tree, v: int) -> list[tuple[int, int, int]]:
+    """Tree path to a reachable v as (u, w, time) hops from the source."""
+    hops = []
+    while tree.parent[v] is not None:
+        u = tree.parent[v]
+        hops.append((u, v, tree.edge_time[v]))
+        v = u
+    hops.reverse()
+    return hops
+
+
+def sparsify_for_source(g: TemporalGraph, source: int) -> TemporalGraph:
+    """Keep only the foremost-tree edges, each at the single time its chosen
+    path uses it; foremost arrivals and the reach set from ``source`` are
+    unchanged."""
+    tree = foremost_tree(g, source)
+    kept: dict[tuple[int, int], int] = {}
+    for v in range(g.n):
+        u = tree.parent[v]
+        if u is None:
+            continue
+        e = (u, v) if u < v else (v, u)
+        t = tree.edge_time[v]
+        if e not in kept or t < kept[e]:
+            kept[e] = t
+    edges = tuple(sorted(kept))
+    return TemporalGraph(g.n, edges, tuple((kept[e],) for e in edges))
 
 
 def brute_foremost(g: TemporalGraph, source: int, min_departure: int = 0) -> list:
@@ -126,7 +154,7 @@ def test_tree_paths_are_prefix_foremost(g, source):
     for v in range(g.n):
         if tree.arrival[v] is None or v == source:
             continue
-        hops = tree.path_to(v)
+        hops = path_to(tree, v)
         times = [t for _u, _w, t in hops]
         assert times == sorted(times) and len(set(times)) == len(times)
         for _u, w, t in hops:

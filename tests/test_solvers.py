@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 from temporeach.limits import CapExceeded, WorkCaps
 from temporeach.reach import arrivals, max_reachability
 from temporeach.solvers import (
-    ALL_EDGES,
     TrlpInstance,
     _explore,
-    explore_with_perturbable_set,
     solve_trlp,
     solve_trlp_big_zeta,
     solve_trlp_xp,
@@ -82,6 +80,13 @@ def test_trp_certificate_validates():
 
 
 # --- Algorithm-1 explorer ---------------------------------------------------
+
+
+def explore_with_perturbable_set(g, source, k, delta, eset):
+    """True iff some delta-perturbation touching only the edges in ``eset``
+    lets ``source`` reach at least k vertices."""
+    idx = frozenset(g.edge_index[e] for e in eset)
+    return _explore(g, source, delta, idx).count() >= k
 
 
 def test_explore_examples():

@@ -24,14 +24,12 @@ from temporeach.tgraph import (
 def test_parse_basic():
     g = parse_graph("n 3\ne 0 1 2\ne 1 2 1\n")
     assert g.lifetime == 2
-    assert g.temporality == 1
     assert g.edges == ((0, 1), (1, 2))
 
 
 def test_parse_multilabel():
     g = parse_graph("n 2\ne 0 1 1 3 7")
     assert g.labels == ((1, 3, 7),)
-    assert g.temporality == 3
 
 
 def test_parse_rejects_duplicate_label():

