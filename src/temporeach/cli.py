@@ -31,6 +31,9 @@ from .tgraph import (
 
 EXIT_YES, EXIT_NO, EXIT_ERROR = 0, 1, 2
 
+# every input file: a directory is a usage error (exit 2), not a traceback
+_IN_FILE = click.Path(exists=True, dir_okay=False)
+
 # Every click.echo here names file=sys.stdout.  Without it click caches a
 # wrapper per stream in a WeakKeyDictionary whose value holds its key, so
 # each in-process invocation (CliRunner) would keep its output buffer alive.
@@ -92,7 +95,7 @@ def main() -> None:
 
 
 @main.command()
-@click.option("-g", "--graph", "graph_path", required=True, type=click.Path(exists=True))
+@click.option("-g", "--graph", "graph_path", required=True, type=_IN_FILE)
 @click.option("--delta", required=True, type=int)
 @click.option("--zeta", required=True, type=int)
 @click.option("--h", "h", required=True, type=int)
@@ -101,7 +104,7 @@ def main() -> None:
     default="auto",
     type=click.Choice(["auto", "degree", "bigzeta", "tree", "treewidth", "xp", "oracle"]),
 )
-@click.option("--decomp", "decomp_path", type=click.Path(exists=True))
+@click.option("--decomp", "decomp_path", type=_IN_FILE)
 @click.option("--json", "as_json", is_flag=True)
 def trlp(graph_path, delta, zeta, h, strategy, decomp_path, as_json) -> None:
     """Can some vertex reach at least h vertices after at most zeta moves?"""
@@ -119,7 +122,7 @@ def trlp(graph_path, delta, zeta, h, strategy, decomp_path, as_json) -> None:
 
 
 @main.command()
-@click.option("-g", "--graph", "graph_path", required=True, type=click.Path(exists=True))
+@click.option("-g", "--graph", "graph_path", required=True, type=_IN_FILE)
 @click.option("--delta", required=True, type=int)
 @click.option("--h", "h", required=True, type=int)
 @click.option("--json", "as_json", is_flag=True)
@@ -134,7 +137,7 @@ def trp(graph_path, delta, h, as_json) -> None:
 
 
 @main.command()
-@click.option("-g", "--graph", "graph_path", required=True, type=click.Path(exists=True))
+@click.option("-g", "--graph", "graph_path", required=True, type=_IN_FILE)
 @click.option("--source", required=True, type=int)
 @click.option("--variant", required=True, type=click.Choice(["shortest", "fastest"]))
 @click.option("-k", "--k", "k", required=True, type=int)
@@ -153,14 +156,14 @@ def ecc(graph_path, source, variant, k, delta, zeta, as_json) -> None:
 
 
 @main.command()
-@click.option("-g", "--graph", "graph_path", required=True, type=click.Path(exists=True))
+@click.option("-g", "--graph", "graph_path", required=True, type=_IN_FILE)
 @click.option("--source", type=int)
 @click.option("--json", "as_json", is_flag=True)
 def reach(graph_path, source, as_json) -> None:
     """Foremost arrivals from a source, or the best source without one."""
     try:
         g = _load_graph(graph_path)
-    except FormatError as exc:
+    except ValueError as exc:
         _refuse(str(exc), as_json)
     if source is None:
         try:
@@ -199,7 +202,7 @@ def _write_trlp_instance(inst: TrlpInstance, out: Optional[str]) -> None:
 
 
 @gen.command("domset")
-@click.option("-g", "--graph", "graph_path", required=True, type=click.Path(exists=True))
+@click.option("-g", "--graph", "graph_path", required=True, type=_IN_FILE)
 @click.option("-r", required=True, type=int)
 @click.option("-o", "--out", type=click.Path())
 def gen_domset(graph_path, r, out) -> None:
@@ -240,7 +243,7 @@ def _parse_static(text: str) -> testkit.StaticGraph:
 
 
 @gen.command("sat-tsep")
-@click.option("-f", "--formula", "cnf_path", required=True, type=click.Path(exists=True))
+@click.option("-f", "--formula", "cnf_path", required=True, type=_IN_FILE)
 @click.option("-k", "--k", "k", default=4, type=int)
 @click.option("--delta", default=1, type=int)
 @click.option("-o", "--out", type=click.Path())
@@ -250,7 +253,7 @@ def gen_sat_tsep(cnf_path, k, delta, out) -> None:
 
 
 @gen.command("sat-tfaep")
-@click.option("-f", "--formula", "cnf_path", required=True, type=click.Path(exists=True))
+@click.option("-f", "--formula", "cnf_path", required=True, type=_IN_FILE)
 @click.option("-k", "--k", "k", default=2, type=int)
 @click.option("--delta", default=1, type=int)
 @click.option("-o", "--out", type=click.Path())
@@ -288,8 +291,8 @@ def gen_random(profile, seed, out) -> None:
 
 
 @main.command()
-@click.option("-g", "--graph", "graph_path", required=True, type=click.Path(exists=True))
-@click.option("-p", "--perturbation", "pert_path", required=True, type=click.Path(exists=True))
+@click.option("-g", "--graph", "graph_path", required=True, type=_IN_FILE)
+@click.option("-p", "--perturbation", "pert_path", required=True, type=_IN_FILE)
 @click.option("--source", required=True, type=int)
 @click.option("--h", "h", type=int)
 @click.option("--variant", type=click.Choice(["shortest", "fastest"]))
@@ -335,7 +338,7 @@ def oracle() -> None:
 
 
 @oracle.command("trlp")
-@click.option("-g", "--graph", "graph_path", required=True, type=click.Path(exists=True))
+@click.option("-g", "--graph", "graph_path", required=True, type=_IN_FILE)
 @click.option("--delta", required=True, type=int)
 @click.option("--zeta", required=True, type=int)
 @click.option("--h", "h", required=True, type=int)
@@ -350,7 +353,7 @@ def oracle_trlp_cmd(graph_path, delta, zeta, h, as_json) -> None:
 
 
 @oracle.command("ecc")
-@click.option("-g", "--graph", "graph_path", required=True, type=click.Path(exists=True))
+@click.option("-g", "--graph", "graph_path", required=True, type=_IN_FILE)
 @click.option("--source", required=True, type=int)
 @click.option("--variant", required=True, type=click.Choice(["shortest", "fastest"]))
 @click.option("-k", "--k", "k", required=True, type=int)

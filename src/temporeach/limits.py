@@ -1,6 +1,6 @@
 """Work caps guarding the exponential strategies.  Each cap is in its own
-unit: XP sweep operations, oracle candidates, treewidth-DP states, and the
-largest decomposition width tried."""
+unit: XP sweep operations, oracle candidates and treewidth-DP candidate
+states."""
 
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ class WorkCaps:
     xp_ops: int = 100_000_000
     oracle_evals: int = 10_000_000
     tw_states: int = 1_000_000
-    tw_width: int = 2
 
 
 DEFAULT_CAPS = WorkCaps()

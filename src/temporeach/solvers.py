@@ -25,6 +25,10 @@ from .reach import ALL_EDGES, ForemostTree, explore, reach_counts, reach_set
 from .tgraph import Perturbation, TemporalGraph, apply_perturbation
 
 
+# ``auto`` runs the treewidth DP only on decompositions up to this width
+TW_MAX_WIDTH = 2
+
+
 @dataclass(frozen=True)
 class TrlpInstance:
     """A reachability-threshold instance: can some vertex reach at least h
@@ -256,8 +260,9 @@ def solve_trlp(
     caps: WorkCaps = DEFAULT_CAPS,
 ) -> SolveResult:
     """Strategy dispatcher.  ``auto`` order: neighbourhood bound, big-zeta,
-    tree DP, treewidth DP (when a small decomposition is available and the
-    state caps admit), subset enumeration, enumeration oracle, refusal."""
+    tree DP, treewidth DP (when a decomposition of width <= ``TW_MAX_WIDTH``
+    is given or found for n <= 20, and its state cap admits), subset
+    enumeration, enumeration oracle, refusal."""
     from . import treedp, twdp  # deferred: treedp/twdp import this module's types
 
     g = inst.graph
@@ -272,7 +277,7 @@ def solve_trlp(
     decomp = decomposition
     if decomp is None and g.n <= 20:
         decomp = twdp.decompose_exact_small(g.n, g.edges)
-    if decomp is not None and decomp.width() <= caps.tw_width:
+    if decomp is not None and decomp.width() <= TW_MAX_WIDTH:
         try:
             return twdp.solve_trlp_treewidth(inst, decomp, caps=caps)
         except CapExceeded:

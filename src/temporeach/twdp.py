@@ -10,6 +10,14 @@ appearances on edges with a forgotten endpoint.  Leaf/introduce/forget/join
 rules derive parent states constructively from child states, so enumeration
 is over (bag-edge image choices x child-state combinations) only.
 
+A join node stitches its two sides' arrival functions (``_join_rin``): the
+sides meet only in the bag, so a foremost path alternates between them at bag
+vertices.  An introduce node of vertex u is the same situation: the child's
+subgraph with u added as an isolated vertex, and the star of u's new bag edges
+under the chosen images.  Its arrivals are that stitch of the child's rows
+and the star's; its counts are the child's, read at the departure vector
+made earlier by what u reaches from its own departure time.
+
 The DP runs on ``compress_time``'s copy of the graph, so departure and
 arrival times range over 0..horizon with horizon <= (distinct labels) *
 (2*delta+1) + delta whatever the size of the labels; the certificate is mapped
@@ -26,7 +34,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import ceil, log2
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .limits import CapExceeded, WorkCaps, DEFAULT_CAPS
 from .solvers import SolveResult, TrlpInstance, _certified_yes
@@ -333,9 +341,6 @@ class _Ctx:
         self.uvals = tuple(range(self.horizon + 1)) + (self.inf,)
         self._images: dict[int, tuple[tuple[tuple[int, ...], int], ...]] = {}
 
-    def norm(self, t: int) -> int:
-        return t if t <= self.horizon else self.inf
-
     def bag_edges(self, bag: tuple[int, ...]) -> tuple[Edge, ...]:
         inside = []
         for i, u in enumerate(bag):
@@ -375,16 +380,6 @@ def _u_index(uvals: tuple[int, ...], size: int) -> dict[tuple[int, ...], int]:
     return {u: i for i, u in enumerate(_u_enum(uvals, size))}
 
 
-def _first_label_at_or_after(labels: tuple[int, ...], t: int, inf: int) -> int:
-    i = bisect_left(labels, t)
-    return labels[i] if i < len(labels) else inf
-
-
-def _first_label_after(labels: tuple[int, ...], t: int, inf: int) -> int:
-    i = bisect_left(labels, t + 1)
-    return labels[i] if i < len(labels) else inf
-
-
 def _bag_cost(ctx: _Ctx, bag_edges: tuple[Edge, ...], p: tuple) -> int:
     total = 0
     for e, image in zip(bag_edges, p):
@@ -393,37 +388,61 @@ def _bag_cost(ctx: _Ctx, bag_edges: tuple[Edge, ...], p: tuple) -> int:
     return total
 
 
+def _star_rows(
+    ctx: _Ctx, k: int, u_i: int, images: Iterable[tuple[int, tuple[int, ...]]]
+) -> tuple:
+    """Arrival rows of the star of bag column u_i, given (column, labels) of
+    its edges: v->u at the first label >= t, u->w, and v->u->w' strictly
+    later."""
+    inf = ctx.inf
+    # first[c][d]: first label >= d on u's edge to column c, for d <= inf + 1
+    first = [[inf] * (inf + 2) for _ in range(k)]
+    for c, labels in images:
+        for d in range(inf + 2):
+            pos = bisect_left(labels, d)
+            first[c][d] = labels[pos] if pos < len(labels) else inf
+    rows = []
+    for i in range(k):
+        per_t = []
+        for t in range(ctx.horizon + 1):
+            a, dep = (t, t) if i == u_i else (first[i][t], first[i][t] + 1)
+            row = [first[j][dep] for j in range(k)]
+            row[u_i] = a
+            row[i] = t
+            per_t.append(tuple(row))
+        rows.append(tuple(per_t))
+    return tuple(rows)
+
+
 def _introduce_states(
     ctx: _Ctx, bag: tuple[int, ...], u: int, child_bag: tuple[int, ...],
     child_states: dict[TwState, tuple], counter: list[int],
 ) -> dict[TwState, tuple]:
-    g, horizon, inf = ctx.g, ctx.horizon, ctx.inf
-    bs = bag
-    vidx = {v: i for i, v in enumerate(bs)}
-    cidx = {v: i for i, v in enumerate(child_bag)}
+    horizon, inf = ctx.horizon, ctx.inf
+    k = len(bag)
+    vidx = {v: i for i, v in enumerate(bag)}
     u_i = vidx[u]
+    child_cols = [vidx[v] for v in child_bag]
     edges_s = ctx.bag_edges(bag)
     edges_child = ctx.bag_edges(child_bag)
     new_edges = tuple(e for e in edges_s if u in e)
-    new_set = set(new_edges)
+    new_cols = [vidx[e[0] if e[1] == u else e[1]] for e in new_edges]
     old_pos = {e: i for i, e in enumerate(edges_child)}
-    nbrs = tuple(w for w in bs if w != u and (min(u, w), max(u, w)) in new_set)
     image_lists = [ctx.images(e) for e in new_edges]
-    times = range(horizon + 1)
-    u_all = _u_enum(ctx.uvals, len(bag))
+    u_alone = tuple(tuple(t if j == u_i else inf for j in range(k)) for t in range(horizon + 1))
+    u_all = _u_enum(ctx.uvals, k)
     child_uidx = _u_index(ctx.uvals, len(child_bag))
     out: dict[TwState, tuple] = {}
 
     for ckey in sorted(child_states):
         czb = ckey.zeta_below
         child_cost = _bag_cost(ctx, edges_child, ckey.p)
-
-        def crin(v: int, t: int) -> tuple[int, ...]:
-            # child arrivals from v departing >= t; inf-safe
-            if t > horizon:
-                return tuple(inf for _ in child_bag)
-            return ckey.r_in[cidx[v]][t]
-
+        # the child's arrivals with u added as an isolated vertex
+        child_rows = tuple(
+            u_alone if i == u_i
+            else tuple(row[:u_i] + (inf,) + row[u_i:] for row in ckey.r_in[i - (i > u_i)])
+            for i in range(k)
+        )
         for combo in itertools.product(*image_lists):
             counter[0] += 1
             if counter[0] > ctx.caps.tw_states:
@@ -437,93 +456,21 @@ def _introduce_states(
             for e in edges_child:
                 p_map[e] = ckey.p[old_pos[e]]
             p_s = tuple(p_map[e] for e in edges_s)
-            uw_labels = {w: p_map[(min(u, w), max(u, w))] for w in nbrs}
+            star = _star_rows(ctx, k, u_i, zip(new_cols, (img for img, _c in combo)))
+            rin_s = _join_rin(ctx, bag, child_rows, star)
 
-            # arrivals at u from each bag vertex & departure time; the trivial
-            # self-arrival at w == v encodes "first edge at >= t", every other
-            # arrival is a real edge and forces strictly-later continuation
-            arr_at_u = [[inf] * (horizon + 1) for _ in bs]
-            for v in bs:
-                row = arr_at_u[vidx[v]]
-                for t in times:
-                    if v == u:
-                        row[t] = t
-                        continue
-                    best = inf
-                    cr = crin(v, t)
-                    for w in nbrs:
-                        aw = cr[cidx[w]]
-                        if aw >= inf:
-                            continue
-                        if w == v:
-                            cand = _first_label_at_or_after(uw_labels[w], aw, inf)
-                        else:
-                            cand = _first_label_after(uw_labels[w], aw, inf)
-                        if cand < best:
-                            best = cand
-                    row[t] = best
-
-            # arrivals from u departing >= t, to every bag vertex
-            from_u = [[inf] * len(bs) for _ in range(horizon + 1)]
-            for t in times:
-                row = from_u[t]
-                row[u_i] = t
-                tw = {
-                    w: _first_label_at_or_after(uw_labels[w], t, inf) for w in nbrs
-                }
-                for v in bs:
-                    if v == u:
-                        continue
-                    best = tw[v] if v in tw else inf
-                    for w in nbrs:
-                        if w == v or tw[w] >= inf:
-                            continue
-                        aw = crin(w, tw[w] + 1)[cidx[v]]
-                        if aw < best:
-                            best = aw
-                    row[vidx[v]] = best
-
-            def from_u_at(dep: int) -> list[int]:
-                if dep <= horizon:
-                    return from_u[dep]
-                return [dep if i == u_i else inf for i in range(len(bs))]
-
-            rin_rows = []
-            for v in bs:
-                per_t = []
-                for t in times:
-                    if v == u:
-                        per_t.append(tuple(from_u[t]))
-                        continue
-                    au = arr_at_u[vidx[v]][t]
-                    via_u = from_u_at(au + 1) if au < inf else None
-                    cr = crin(v, t)
-                    row = []
-                    for x in bs:
-                        if x == u:
-                            row.append(au)
-                            continue
-                        val = cr[cidx[x]]
-                        if via_u is not None and via_u[vidx[x]] < val:
-                            val = via_u[vidx[x]]
-                        row.append(val)
-                    per_t.append(tuple(row))
-                rin_rows.append(tuple(per_t))
-            rin_s = tuple(rin_rows)
-
+            # a child departure vector, made earlier by what u reaches from du
             rbelow = []
             for uu in u_all:
                 du = uu[u_i]
-                reach_u = from_u_at(du) if du <= horizon else None
-                child_u = []
-                for v in child_bag:
-                    val = uu[vidx[v]]
-                    if reach_u is not None:
-                        via = reach_u[vidx[v]]
-                        if via < inf and via + 1 < val:
-                            val = ctx.norm(via + 1)
-                    child_u.append(ctx.norm(val))
-                rbelow.append(ckey.r_below[child_uidx[tuple(child_u)]])
+                via = rin_s[u_i][du] if du <= horizon else None
+                ext = []
+                for j in child_cols:
+                    val = uu[j]
+                    if via is not None and via[j] + 1 < val:
+                        val = via[j] + 1
+                    ext.append(val)
+                rbelow.append(ckey.r_below[child_uidx[tuple(ext)]])
             state = TwState(p_s, rin_s, tuple(rbelow), czb)
             if state not in out:
                 out[state] = (ckey,)
@@ -572,7 +519,7 @@ def _forget_states(
                 if a < t2:
                     t2 = a
             if t2 <= horizon:
-                ext = _insert_at(uu, keep_cols, u_i, ctx.norm(t2 + 1), len(child_bag))
+                ext = _insert_at(uu, keep_cols, u_i, t2 + 1, len(child_bag))
                 val = min(ckey.r_below[child_uidx[ext]] + 1, ctx.h)
             else:
                 ext = _insert_at(uu, keep_cols, u_i, inf, len(child_bag))
@@ -601,20 +548,17 @@ def join_rounds(bag_size: int) -> int:
 def _join_rin(
     ctx: _Ctx, bag: tuple[int, ...], r1, r2, rounds: Optional[int] = None
 ):
-    """Iterated stitching of the two sides' arrival functions."""
-    horizon, inf = ctx.horizon, ctx.inf
+    """Arrival rows of the union of two subgraphs that meet only in the bag
+    (a join's two sides, or an introduce node's child and star).  A foremost
+    path splits at bag vertices into at most k - 1 one-sided segments, and
+    each round doubles the number of segments a row covers."""
+    horizon = ctx.horizon
     k = len(bag)
     cur = [
         [tuple(min(a, b) for a, b in zip(r1[i][t], r2[i][t])) for t in range(horizon + 1)]
         for i in range(k)
     ]
     steps = join_rounds(k) if rounds is None else rounds
-
-    def lookup(rows, x_i: int, dep: int):
-        if dep <= horizon:
-            return rows[x_i][dep]
-        return tuple(dep if j == x_i else inf for j in range(k))
-
     for _ in range(steps):
         nxt = []
         for i in range(k):
@@ -624,9 +568,9 @@ def _join_rin(
                 best = list(base)
                 for x_i in range(k):
                     ax = base[x_i]
-                    if ax >= inf:
+                    if ax >= horizon:  # nothing departs after the horizon
                         continue
-                    via = lookup(cur, x_i, ax + 1)
+                    via = cur[x_i][ax + 1]
                     for j in range(k):
                         if via[j] < best[j]:
                             best[j] = via[j]
@@ -640,7 +584,7 @@ def _join_states(
     ctx: _Ctx, bag: tuple[int, ...],
     left: dict[TwState, tuple], right: dict[TwState, tuple], counter: list[int],
 ) -> dict[TwState, tuple]:
-    horizon, inf = ctx.horizon, ctx.inf
+    horizon = ctx.horizon
     edges_s = ctx.bag_edges(bag)
     u_all = _u_enum(ctx.uvals, len(bag))
     uidx = _u_index(ctx.uvals, len(bag))
@@ -662,16 +606,11 @@ def _join_states(
             rbelow = []
             for uu in u_all:
                 uprime = []
-                for j, v in enumerate(bag):
-                    val = uu[j]
-                    for i2, w in enumerate(bag):
-                        dw = uu[i2]
-                        if dw > horizon:
-                            continue
-                        a = rin[i2][dw][j]
-                        if a < inf and a + 1 < val:
-                            val = ctx.norm(a + 1)
-                    uprime.append(ctx.norm(val))
+                for j, val in enumerate(uu):
+                    for w_i, dw in enumerate(uu):
+                        if dw <= horizon and rin[w_i][dw][j] + 1 < val:
+                            val = rin[w_i][dw][j] + 1
+                    uprime.append(val)
                 key = uidx[tuple(uprime)]
                 rbelow.append(min(lkey.r_below[key] + rkey.r_below[key], ctx.h))
             state = TwState(lkey.p, rin, tuple(rbelow), zb)

@@ -271,6 +271,47 @@ def test_reach_empty_graph_refused(runner, tmp_path):
     assert res.output.startswith("REFUSED ")
 
 
+@pytest.mark.parametrize("extra", [[], ["--source", "0"]], ids=["rmax", "source"])
+def test_reach_non_utf8_graph_refused(runner, tmp_path, extra):
+    gpath = tmp_path / "bin.tg"
+    gpath.write_bytes(b"\xff\xfe\x00n 2\n")
+    res = runner.invoke(main, ["reach", "-g", str(gpath), *extra])
+    assert res.exit_code == 2
+    assert res.output.startswith("REFUSED 'utf-8' codec can't decode")
+
+
+# every existing-file option; "{dir}" marks the one given a directory
+_FILE_OPTION_CALLS = {
+    "trlp-g": ["trlp", "-g", "{dir}", "--delta", "1", "--zeta", "1", "--h", "1"],
+    "trlp-decomp": ["trlp", "-g", "{g}", "--delta", "1", "--zeta", "1", "--h", "1", "--decomp", "{dir}"],
+    "trp-g": ["trp", "-g", "{dir}", "--delta", "1", "--h", "1"],
+    "ecc-g": ["ecc", "-g", "{dir}", "--source", "0", "--variant", "shortest", "-k", "1",
+              "--delta", "1", "--zeta", "1"],
+    "reach-g": ["reach", "-g", "{dir}"],
+    "domset-g": ["gen", "domset", "-g", "{dir}", "-r", "1"],
+    "sat-tsep-f": ["gen", "sat-tsep", "-f", "{dir}"],
+    "sat-tfaep-f": ["gen", "sat-tfaep", "-f", "{dir}"],
+    "verify-g": ["verify", "-g", "{dir}", "-p", "{p}", "--source", "0", "--h", "1"],
+    "verify-p": ["verify", "-g", "{g}", "-p", "{dir}", "--source", "0", "--h", "1"],
+    "oracle-trlp-g": ["oracle", "trlp", "-g", "{dir}", "--delta", "1", "--zeta", "1", "--h", "1"],
+    "oracle-ecc-g": ["oracle", "ecc", "-g", "{dir}", "--source", "0", "--variant", "shortest",
+                     "-k", "1", "--delta", "1", "--zeta", "1"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FILE_OPTION_CALLS))
+def test_directory_for_file_option_is_usage_error(runner, tmp_path, name):
+    paths = {
+        "dir": str(tmp_path),
+        "g": write(tmp_path, "g.tg", PATH_TG),
+        "p": write(tmp_path, "p.txt", "delta 0\nzeta 0\n"),
+    }
+    res = runner.invoke(main, [arg.format(**paths) for arg in _FILE_OPTION_CALLS[name]])
+    assert res.exit_code == 2
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert f"'{tmp_path}' is a directory" in res.output
+
+
 @pytest.mark.parametrize(
     "source, check",
     [

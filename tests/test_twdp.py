@@ -160,6 +160,36 @@ def test_introduce_isolated_vertex_rows():
         assert s.r_in[0][t][0] == t
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["n 3\ne 0 1 1 3\ne 0 2 2\ne 1 2 1 2\n", "n 3\ne 0 1 2 3\ne 1 2 1 3\n"],
+    ids=["triangle", "path"],
+)
+def test_introduce_arrivals_match_relabelled_graph(text):
+    # one bag holding every vertex: the top introduce node's r_in must be the
+    # foremost arrivals of the graph under that state's images
+    g = parse_graph(text)
+    inst = TrlpInstance(g, 1, 3, 3)
+    d = TreeDecomposition((frozenset({0, 1, 2}),), ())
+    nice = make_nice(d, 0, 3, g.edges)
+    ctx = _Ctx(inst, WorkCaps())
+    states = []
+    for i, node in enumerate(nice.nodes):
+        states.append(_node_states(ctx, nice, i, tuple(states[c] for c in node.children), [0]))
+    top = max(i for i, node in enumerate(nice.nodes) if node.kind == "introduce")
+    assert nice.nodes[top].bag == (0, 1, 2)
+    assert len({s.p for s in states[top]}) > 20
+    for state in states[top]:
+        pg = g.with_labels(dict(zip(ctx.bag_edges((0, 1, 2)), state.p)))
+        for v in range(3):
+            for t in range(ctx.horizon + 1):
+                want = arrivals(pg, v, min_departure=t)
+                for x in range(3):
+                    if x != v:
+                        got = state.r_in[v][t][x]
+                        assert got == (ctx.inf if want[x] is None else want[x]), (state.p, v, t, x)
+
+
 def test_join_fixpoint():
     g = C4
     inst = TrlpInstance(g, 1, 2, 4)
