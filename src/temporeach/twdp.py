@@ -432,6 +432,7 @@ def _introduce_states(
     u_alone = tuple(tuple(t if j == u_i else inf for j in range(k)) for t in range(horizon + 1))
     u_all = _u_enum(ctx.uvals, k)
     child_uidx = _u_index(ctx.uvals, len(child_bag))
+    stars: dict[int, tuple] = {}  # star rows by combo index, the same for every child state
     out: dict[TwState, tuple] = {}
 
     for ckey in sorted(child_states):
@@ -443,7 +444,7 @@ def _introduce_states(
             else tuple(row[:u_i] + (inf,) + row[u_i:] for row in ckey.r_in[i - (i > u_i)])
             for i in range(k)
         )
-        for combo in itertools.product(*image_lists):
+        for ci, combo in enumerate(itertools.product(*image_lists)):
             counter[0] += 1
             if counter[0] > ctx.caps.tw_states:
                 raise CapExceeded(
@@ -456,7 +457,10 @@ def _introduce_states(
             for e in edges_child:
                 p_map[e] = ckey.p[old_pos[e]]
             p_s = tuple(p_map[e] for e in edges_s)
-            star = _star_rows(ctx, k, u_i, zip(new_cols, (img for img, _c in combo)))
+            star = stars.get(ci)
+            if star is None:
+                images = zip(new_cols, (img for img, _c in combo))
+                star = stars[ci] = _star_rows(ctx, k, u_i, images)
             rin_s = _join_rin(ctx, bag, child_rows, star)
 
             # a child departure vector, made earlier by what u reaches from du
