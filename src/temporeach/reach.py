@@ -33,14 +33,13 @@ class ForemostTree:
     (over the ±delta re-timings ``explore`` allowed, if any).
 
     ``arrival[v]`` is None for unreachable vertices and 0 for the source.
-    ``parent[v]``/``edge_time[v]``/``edge[v]`` describe the tree edge into v
-    (its other end, time and edge index; None at the source and at
-    unreachable vertices).
+    ``parent[v]``/``edge[v]`` describe the tree edge into v (its other end
+    and edge index; None at the source and at unreachable vertices); the edge
+    is used at time ``arrival[v]``.
     """
 
     source: int
     parent: list[Optional[int]]
-    edge_time: list[Optional[int]]
     arrival: list[Optional[int]]
     edge: list[Optional[int]]
 
@@ -62,7 +61,6 @@ def explore(
         raise ValueError(f"source {source} out of range")
     arrival: list[Optional[int]] = [None] * g.n
     parent: list[Optional[int]] = [None] * g.n
-    edge_time: list[Optional[int]] = [None] * g.n
     edge: list[Optional[int]] = [None] * g.n
     labels, adjacency = g.labels, g.adjacency
     everything = eset == ALL_EDGES
@@ -85,9 +83,8 @@ def explore(
         t, v, u, ei = heapq.heappop(heap)
         arrival[v] = t
         parent[v] = u
-        edge_time[v] = t
         edge[v] = ei
-    return ForemostTree(source, parent, edge_time, arrival, edge)
+    return ForemostTree(source, parent, arrival, edge)
 
 
 def foremost_tree(g: TemporalGraph, source: int) -> ForemostTree:

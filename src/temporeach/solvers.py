@@ -100,7 +100,7 @@ def certificate_from_exploration(
         ei = exp.edge[v]
         if ei is None:
             continue
-        t_used = exp.edge_time[v]
+        t_used = exp.arrival[v]
         labels = g.labels[ei]
         if t_used in labels:
             continue
@@ -209,19 +209,14 @@ def solve_trlp_big_zeta(inst: TrlpInstance) -> SolveResult:
     if not trp.answer:
         return SolveResult(False, "bigzeta", reach_count=trp.reach_count)
     src = trp.source
-    exp = _explore(g, src, delta, ALL_EDGES)
-    cert = certificate_from_exploration(g, exp, delta, inst.zeta)
-    moved = cert.moved_records()
+    moved = trp.perturbation.moved_records()
     if len(moved) > h - 1:
-        # Later-arriving endpoints are reached through earlier moved edges, so
-        # keeping the h-1 earliest (by max endpoint arrival) keeps their whole
-        # ancestor chains intact.
-        def gamma(rec):
-            (u, v), _old, _new = rec
-            return (max(exp.arrival[u], exp.arrival[v]), (u, v), _old)
-
-        moved = tuple(sorted(moved, key=gamma)[: h - 1])
-    cert = Perturbation(delta, inst.zeta, moved)
+        # A moved tree edge's new time is its later endpoint's arrival, and
+        # later-arriving endpoints are reached through earlier moved edges, so
+        # keeping the h-1 earliest (by new time) keeps their whole ancestor
+        # chains intact.
+        moved = sorted(moved, key=lambda rec: (rec[2], rec[0], rec[1]))[: h - 1]
+    cert = Perturbation(delta, inst.zeta, tuple(moved))
     count = len(reach_set(apply_perturbation(g, cert), src))
     assert count >= h
     return SolveResult(True, "bigzeta", source=src, reach_count=count, perturbation=cert)

@@ -1,15 +1,15 @@
-"""Bounded-perturbation reachability on trees: bottom-up DP with a
-multiple-choice-knapsack split of the budget across children.
+"""Bounded-perturbation reachability on trees: bottom-up DP that splits the
+budget across children with a max-plus merge of per-child gain rows.
 
 State semantics for a vertex v of the tree rooted at the source: value[z][t]
 is the most vertices of v's subtree (v included) that v can reach using at
 most z re-timings inside the subtree, by paths departing v at time >= t.
 Leaves score 1 everywhere.  For an internal vertex at time t, each child c
-offers pairs (budget, gain): skip (0,0); use edge vc at its first original
-label t1 > t and continue with c's value at t1+1; or spend one re-timing to
-use vc at the earliest reachable t2 > t and continue at t2+1.  One pair per
-child is chosen to maximise total gain under each budget, which is exactly
-the multiple-choice knapsack.
+has one best option per budget w (``_child_row``): use edge vc at its first
+original label t1 >= t and continue with c's value at t1+1 under budget w, or
+spend one re-timing to use vc at the earliest reachable t2 < t1 and continue
+at t2+1 under budget w-1.  Budget 0 without t1 skips c.  ``_merge`` splits
+each total budget across the children's rows to maximise the summed gain.
 
 The DP runs on ``compress_time``'s copy of the graph, so its time axis has
 horizon <= (distinct labels) * (2*delta+1) + delta whatever the size of the
@@ -25,42 +25,35 @@ it builds at most 2(n-1) + n tables instead of one per vertex and source.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Optional
 
 from .solvers import SolveResult, TrlpInstance, _certified_yes, _nearest_origin_label
 from .tgraph import TemporalGraph, compress_time, next_expanded_after, next_label_after
 
+# (gain, edge time or None when the child is skipped, moved)
+_Option = tuple[int, Optional[int], bool]
 
-def _mckp_table(
-    classes: tuple[tuple[tuple[int, int], ...], ...], cap: int
-) -> tuple[list[Optional[int]], list[list[Optional[tuple[int, int]]]]]:
-    """DP over classes; choice[i][w] = (item index in class i, previous w)."""
-    dp: list[Optional[int]] = [0] * (cap + 1)
-    choice: list[list[Optional[tuple[int, int]]]] = []
-    for cls in classes:
-        nxt: list[Optional[int]] = [None] * (cap + 1)
-        ch: list[Optional[tuple[int, int]]] = [None] * (cap + 1)
+
+def _merge(rows: list[list[_Option]], cap: int) -> tuple[list[int], list[list[int]]]:
+    """Max-plus merge of child rows over budgets 0..cap: totals[w] is the best
+    summed gain within budget w, and picks[i][w] is the budget child i takes
+    when children 0..i share w (the smaller budget on ties)."""
+    totals = [0] * (cap + 1)
+    picks = []
+    for row in rows:
+        nxt, pick = [], []
         for w in range(cap + 1):
-            for idx, (wi, pi) in enumerate(cls):
-                if wi > w or dp[w - wi] is None:
-                    continue
-                cand = dp[w - wi] + pi
-                if nxt[w] is None or cand > nxt[w]:
-                    nxt[w] = cand
-                    ch[w] = (idx, w - wi)
-        dp = nxt
-        choice.append(ch)
-    return dp, choice
-
-
-@dataclass(frozen=True)
-class _Pair:
-    weight: int
-    profit: int
-    kind: str  # "skip" | "plain" | "moved"
-    child_budget: int
-    edge_time: Optional[int]
+            best, at = -1, 0
+            for b, option in enumerate(row[: w + 1]):
+                cand = totals[w - b] + option[0]
+                if cand > best:
+                    best, at = cand, b
+            nxt.append(best)
+            pick.append(at)
+        totals = nxt
+        picks.append(pick)
+    return totals, picks
 
 
 def _tree_order(
@@ -89,31 +82,27 @@ def _tree_order(
     return list(reversed(order)), children, parent
 
 
-def _child_pairs(
+def _child_row(
     g: TemporalGraph, v: int, c: int, t: int, zeta: int, delta: int,
-    value_c: list[list[int]], horizon: int,
-) -> list[_Pair]:
-    # departure semantics: the edge may be used at any time >= t
+    value_c: list[list[int]],
+) -> list[_Option]:
+    """Child c's best option per budget w when v departs at time >= t; the
+    unmoved edge wins ties.  The row stops at budget 0 when vc has no usable
+    time at all."""
     labels = g.edge_labels(v, c)
-    pairs: list[_Pair] = [_Pair(0, 0, "skip", 0, None)]
-    floor = max(t, 1)
-    t1 = next_label_after(labels, floor - 1)
-    if t1 is not None:
-        dep = min(t1 + 1, horizon + 1)
-        for z in range(zeta + 1):
-            pairs.append(_Pair(z, value_c[z][dep], "plain", z, t1))
-    if delta >= 1:
-        t2 = next_expanded_after(labels, floor - 1, delta)
-        if t2 is not None and (t1 is None or t2 < t1):
-            dep = min(t2 + 1, horizon + 1)
-            for z in range(zeta):
-                pairs.append(_Pair(z + 1, value_c[z][dep], "moved", z, t2))
-    best: dict[int, _Pair] = {}
-    for p in pairs:
-        cur = best.get(p.weight)
-        if cur is None or p.profit > cur.profit:
-            best[p.weight] = p
-    return [best[w] for w in sorted(best)]
+    floor = max(t, 1) - 1
+    t1 = next_label_after(labels, floor)
+    t2 = next_expanded_after(labels, floor, delta) if delta else None
+    if t2 == t1:  # t2 <= t1 always: moving is only worth it to an earlier time
+        t2 = None
+    row: list[_Option] = [(value_c[0][t1 + 1], t1, False) if t1 is not None else (0, None, False)]
+    if t1 is None and t2 is None:
+        return row
+    for w in range(1, zeta + 1):
+        plain = value_c[w][t1 + 1] if t1 is not None else 0
+        moved = value_c[w - 1][t2 + 1] if t2 is not None else 0
+        row.append((moved, t2, True) if moved > plain else (plain, t1, False))
+    return row
 
 
 def _value_tables(
@@ -136,14 +125,10 @@ def _value_tables(
         for z in range(zeta + 1):
             table[z][horizon + 1] = 1
         for t in range(horizon + 1):
-            classes = tuple(
-                tuple((p.weight, p.profit) for p in
-                      _child_pairs(g, v, c, t, zeta, delta, value[c], horizon))
-                for c in children[v]
-            )
-            best, _ = _mckp_table(classes, zeta)
+            rows = [_child_row(g, v, c, t, zeta, delta, value[c]) for c in children[v]]
+            totals, _picks = _merge(rows, zeta)
             for z in range(zeta + 1):
-                table[z][t] = min(1 + (best[z] or 0), h)
+                table[z][t] = min(1 + totals[z], h)
         value[v] = tables[key] = table
     return value, post, children
 
@@ -153,33 +138,23 @@ def _reconstruct(
     records: list,
 ) -> None:
     g, delta, zeta = inst.graph, inst.delta, inst.zeta
-    horizon = g.lifetime + delta
-    if t > horizon or not children[v]:
+    if t > g.lifetime + delta or not children[v]:
         return
-    pair_lists = [
-        _child_pairs(g, v, c, t, zeta, delta, value[c], horizon)
-        for c in children[v]
-    ]
-    classes = tuple(tuple((p.weight, p.profit) for p in pl) for pl in pair_lists)
-    _best, choice = _mckp_table(classes, zeta)
+    rows = [_child_row(g, v, c, t, zeta, delta, value[c]) for c in children[v]]
+    _totals, picks = _merge(rows, zeta)
     w = z
-    picked: list[tuple[int, _Pair]] = []
-    for i in range(len(children[v]) - 1, -1, -1):
-        idx, prev = choice[i][w]
-        picked.append((children[v][i], pair_lists[i][idx]))
-        w = prev
-    for c, pair in picked:
-        if pair.kind == "skip":
+    for i in range(len(rows) - 1, -1, -1):
+        b = picks[i][w]
+        w -= b
+        _gain, edge_time, moved = rows[i][b]
+        if edge_time is None:
             continue
-        if pair.kind == "moved":
-            labels = g.edge_labels(v, c)
-            if pair.edge_time not in labels:
-                t0 = _nearest_origin_label(labels, pair.edge_time, delta)
-                e = (v, c) if v < c else (c, v)
-                records.append((e, t0, pair.edge_time))
+        c = children[v][i]
+        if moved:
+            t0 = _nearest_origin_label(g.edge_labels(v, c), edge_time, delta)
+            records.append(((v, c) if v < c else (c, v), t0, edge_time))
         _reconstruct(
-            inst, value, children, c, pair.child_budget,
-            min(pair.edge_time + 1, horizon + 1), records,
+            inst, value, children, c, b - 1 if moved else b, edge_time + 1, records
         )
 
 

@@ -18,6 +18,13 @@ under the chosen images.  Its arrivals are that stitch of the child's rows
 and the star's; its counts are the child's, read at the departure vector
 made earlier by what u reaches from its own departure time.
 
+A departure vector gives each bag column a time in 0..horizon, or horizon+1
+for "does not depart".  The counts are a flat tuple indexed by the vector's
+base-(horizon+2) value, first column most significant (``_u_enum`` order), so
+a node finds a child's entry by arithmetic: Horner's rule over the child's
+columns for introduce and join, and one inserted digit for forget
+(``_insert_digit``).
+
 The DP runs on ``compress_time``'s copy of the graph, so departure and
 arrival times range over 0..horizon with horizon <= (distinct labels) *
 (2*delta+1) + delta whatever the size of the labels; the certificate is mapped
@@ -338,7 +345,6 @@ class _Ctx:
         self.caps = caps
         self.horizon = self.g.lifetime + inst.delta
         self.inf = self.horizon + 1
-        self.uvals = tuple(range(self.horizon + 1)) + (self.inf,)
         self._images: dict[int, tuple[tuple[tuple[int, ...], int], ...]] = {}
 
     def bag_edges(self, bag: tuple[int, ...]) -> tuple[Edge, ...]:
@@ -371,13 +377,18 @@ class _Ctx:
 
 
 @lru_cache(maxsize=64)
-def _u_enum(uvals: tuple[int, ...], size: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(itertools.product(uvals, repeat=size))
+def _u_enum(base: int, size: int) -> tuple[tuple[int, ...], ...]:
+    """Departure vectors over 0..base-1 in table order: a vector's index is
+    its base-``base`` value, first column most significant."""
+    return tuple(itertools.product(range(base), repeat=size))
 
 
-@lru_cache(maxsize=64)
-def _u_index(uvals: tuple[int, ...], size: int) -> dict[tuple[int, ...], int]:
-    return {u: i for i, u in enumerate(_u_enum(uvals, size))}
+def _insert_digit(index: int, digit: int, scale: int, base: int) -> int:
+    """Index of the departure vector at ``index`` after inserting ``digit``
+    with place value ``scale`` (a power of ``base``): the digits below it keep
+    their places and the digits above it move up one."""
+    high, low = divmod(index, scale)
+    return (high * base + digit) * scale + low
 
 
 def _bag_cost(ctx: _Ctx, bag_edges: tuple[Edge, ...], p: tuple) -> int:
@@ -430,8 +441,8 @@ def _introduce_states(
     old_pos = {e: i for i, e in enumerate(edges_child)}
     image_lists = [ctx.images(e) for e in new_edges]
     u_alone = tuple(tuple(t if j == u_i else inf for j in range(k)) for t in range(horizon + 1))
-    u_all = _u_enum(ctx.uvals, k)
-    child_uidx = _u_index(ctx.uvals, len(child_bag))
+    base = inf + 1
+    u_all = _u_enum(base, k)
     stars: dict[int, tuple] = {}  # star rows by combo index, the same for every child state
     out: dict[TwState, tuple] = {}
 
@@ -468,13 +479,13 @@ def _introduce_states(
             for uu in u_all:
                 du = uu[u_i]
                 via = rin_s[u_i][du] if du <= horizon else None
-                ext = []
+                ci = 0
                 for j in child_cols:
                     val = uu[j]
                     if via is not None and via[j] + 1 < val:
                         val = via[j] + 1
-                    ext.append(val)
-                rbelow.append(ckey.r_below[child_uidx[tuple(ext)]])
+                    ci = ci * base + val
+                rbelow.append(ckey.r_below[ci])
             state = TwState(p_s, rin_s, tuple(rbelow), czb)
             if state not in out:
                 out[state] = (ckey,)
@@ -492,8 +503,9 @@ def _forget_states(
     edges_child = ctx.bag_edges(child_bag)
     child_pos = {e: i for i, e in enumerate(edges_child)}
     keep_cols = [cidx[v] for v in bag]
-    u_all = _u_enum(ctx.uvals, len(bag))
-    child_uidx = _u_index(ctx.uvals, len(child_bag))
+    base = inf + 1
+    u_all = _u_enum(base, len(bag))
+    scale = base ** (len(bag) - u_i)  # place value of u's digit in the child
     out: dict[TwState, tuple] = {}
     for ckey in sorted(child_states):
         counter[0] += 1
@@ -513,7 +525,7 @@ def _forget_states(
             for v in bag
         )
         rbelow = []
-        for uu in u_all:
+        for ui, uu in enumerate(u_all):
             t2 = inf
             for j, v in enumerate(bag):
                 dv = uu[j]
@@ -522,27 +534,12 @@ def _forget_states(
                 a = ckey.r_in[cidx[v]][dv][u_i]
                 if a < t2:
                     t2 = a
-            if t2 <= horizon:
-                ext = _insert_at(uu, keep_cols, u_i, t2 + 1, len(child_bag))
-                val = min(ckey.r_below[child_uidx[ext]] + 1, ctx.h)
-            else:
-                ext = _insert_at(uu, keep_cols, u_i, inf, len(child_bag))
-                val = ckey.r_below[child_uidx[ext]]
-            rbelow.append(val)
+            val = ckey.r_below[_insert_digit(ui, min(t2 + 1, inf), scale, base)]
+            rbelow.append(min(val + 1, ctx.h) if t2 <= horizon else val)
         state = TwState(p_s, rin_s, tuple(rbelow), zb)
         if state not in out:
             out[state] = (ckey,)
     return out
-
-
-def _insert_at(
-    uu: tuple[int, ...], keep_cols: list[int], u_col: int, val: int, size: int
-) -> tuple[int, ...]:
-    full = [0] * size
-    for j, c in enumerate(keep_cols):
-        full[c] = uu[j]
-    full[u_col] = val
-    return tuple(full)
 
 
 def join_rounds(bag_size: int) -> int:
@@ -589,9 +586,9 @@ def _join_states(
     left: dict[TwState, tuple], right: dict[TwState, tuple], counter: list[int],
 ) -> dict[TwState, tuple]:
     horizon = ctx.horizon
+    base = ctx.inf + 1
     edges_s = ctx.bag_edges(bag)
-    u_all = _u_enum(ctx.uvals, len(bag))
-    uidx = _u_index(ctx.uvals, len(bag))
+    u_all = _u_enum(base, len(bag))
     by_p_right: dict[tuple, list[TwState]] = {}
     for rkey in sorted(right):
         by_p_right.setdefault(rkey.p, []).append(rkey)
@@ -609,13 +606,12 @@ def _join_states(
             rin = _join_rin(ctx, bag, lkey.r_in, rkey.r_in)
             rbelow = []
             for uu in u_all:
-                uprime = []
+                key = 0
                 for j, val in enumerate(uu):
                     for w_i, dw in enumerate(uu):
                         if dw <= horizon and rin[w_i][dw][j] + 1 < val:
                             val = rin[w_i][dw][j] + 1
-                    uprime.append(val)
-                key = uidx[tuple(uprime)]
+                    key = key * base + val
                 rbelow.append(min(lkey.r_below[key] + rkey.r_below[key], ctx.h))
             state = TwState(lkey.p, rin, tuple(rbelow), zb)
             if state not in out:
@@ -655,11 +651,9 @@ def _solve_for_source(
     root = nice.root
     root_bag = nice.nodes[root].bag
     assert root_bag == (source,)
-    uidx = _u_index(ctx.uvals, len(root_bag))
-    zero = uidx[(0,)]
     accepted = None
     for key in sorted(states[root]):
-        if key.r_below[zero] >= ctx.h - 1:
+        if key.r_below[0] >= ctx.h - 1:  # the source departs at time 0
             accepted = key
             break
     if accepted is None:

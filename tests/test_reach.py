@@ -26,7 +26,7 @@ def path_to(tree, v: int) -> list[tuple[int, int, int]]:
     hops = []
     while tree.parent[v] is not None:
         u = tree.parent[v]
-        hops.append((u, v, tree.edge_time[v]))
+        hops.append((u, v, tree.arrival[v]))
         v = u
     hops.reverse()
     return hops
@@ -43,7 +43,7 @@ def sparsify_for_source(g: TemporalGraph, source: int) -> TemporalGraph:
         if u is None:
             continue
         e = (u, v) if u < v else (v, u)
-        t = tree.edge_time[v]
+        t = tree.arrival[v]
         if e not in kept or t < kept[e]:
             kept[e] = t
     edges = tuple(sorted(kept))
@@ -116,7 +116,7 @@ def test_foremost_matches_brute_force(g, source, min_departure):
     assert list(tree.arrival) == brute_foremost(g, source)
     assert arrivals(g, source, min_departure) == brute_foremost(g, source, min_departure)
     exp = _explore(g, source, 0, frozenset())
-    assert (tree.parent, tree.edge_time) == (exp.parent, exp.edge_time)
+    assert (tree.parent, tree.arrival) == (exp.parent, exp.arrival)
 
 
 @settings(max_examples=200, deadline=None)

@@ -11,7 +11,7 @@ from temporeach import treedp
 from temporeach.tgraph import TemporalGraph, apply_perturbation, compress_time, parse_graph
 from temporeach.testkit import oracle_trlp_max_reach, random_instance
 from temporeach.treedp import (
-    _mckp_table,
+    _merge,
     _reconstruct,
     _value_tables,
     solve_trlp_tree,
@@ -19,52 +19,51 @@ from temporeach.treedp import (
 )
 
 
-# --- MCKP --------------------------------------------------------------------
+# --- max-plus merge of child rows -----------------------------------------------
 
 
-def mckp_solve(cap, classes):
-    # best total profit for every capacity 0..cap (None where infeasible)
-    return _mckp_table(classes, cap)[0]
+def merged_budgets(picks, w):
+    # the budget each child takes when the children share w, first child first
+    budgets = []
+    for pick in reversed(picks):
+        budgets.append(pick[w])
+        w -= pick[w]
+    return budgets[::-1]
 
 
-def exhaustive_mckp(classes, cap):
-    best = [None] * (cap + 1)
-    for combo in itertools.product(*classes):
-        w = sum(x[0] for x in combo)
-        p = sum(x[1] for x in combo)
-        for c in range(w, cap + 1):
-            if best[c] is None or p > best[c]:
-                best[c] = p
-    return best
+def test_merge_example():
+    rows = [[(0, None, False), (3, 1, True)], [(0, None, False), (0, 2, False), (4, 2, True)]]
+    totals, picks = _merge(rows, 2)
+    assert totals == [0, 3, 4]
+    assert [merged_budgets(picks, w) for w in range(3)] == [[0, 0], [1, 0], [0, 2]]
 
 
-def test_mckp_example():
-    assert mckp_solve(2, (((0, 0), (1, 3)), ((0, 0), (2, 4)))) == [0, 3, 4]
-
-
-def test_mckp_all_weight_zero():
-    assert mckp_solve(3, (((0, 1), (0, 5)), ((0, 2),))) == [7, 7, 7, 7]
-
-
-def test_mckp_forced_single_choice():
-    assert mckp_solve(2, (((0, 0),),)) == [0, 0, 0]
-
-
-def test_mckp_infeasible_marker():
-    assert mckp_solve(2, (((3, 9),),)) == [None, None, None]
-
-
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(
-    st.lists(
-        st.lists(st.tuples(st.integers(0, 4), st.integers(0, 9)), min_size=1, max_size=4),
-        min_size=1,
-        max_size=4,
-    ),
-    st.integers(0, 6),
+    st.integers(0, 4).flatmap(
+        lambda cap: st.tuples(
+            st.just(cap),
+            st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=cap + 1), max_size=4),
+        )
+    )
 )
-def test_mckp_matches_exhaustive(classes, cap):
-    assert mckp_solve(cap, tuple(tuple(c) for c in classes)) == exhaustive_mckp(classes, cap)
+def test_merge_matches_exhaustive_choice(case):
+    # small gains make ties common: among the best splits within budget w, the
+    # merge takes the smallest budget for the last child, then for the one
+    # before it, and so on
+    cap, gains = case
+    rows = [[(gain, b, b % 2 == 1) for b, gain in enumerate(row)] for row in gains]
+    totals, picks = _merge(rows, cap)
+    for w in range(cap + 1):
+        best = None
+        for split in itertools.product(*(range(len(row)) for row in gains)):
+            if sum(split) > w:
+                continue
+            key = (-sum(row[b] for row, b in zip(gains, split)), split[::-1])
+            if best is None or key < best:
+                best = key
+        assert totals[w] == -best[0]
+        assert merged_budgets(picks, w) == list(best[1][::-1])
 
 
 # --- tree DP ------------------------------------------------------------------
@@ -161,14 +160,14 @@ def test_all_sources_builds_each_subtree_table_once(monkeypatch):
     g = seeded_tree(random.Random("forty"), 40, 2, 1)
     inst = TrlpInstance(g, 1, 3, g.n)
     calls = 0
-    real = treedp._mckp_table
+    real = treedp._merge
 
-    def counting(classes, cap):
+    def counting(rows, cap):
         nonlocal calls
         calls += 1
-        return real(classes, cap)
+        return real(rows, cap)
 
-    monkeypatch.setattr(treedp, "_mckp_table", counting)
+    monkeypatch.setattr(treedp, "_merge", counting)
     res = solve_trlp_tree_all_sources(inst)
     assert not res.answer
     horizon = compress_time(g, inst.delta)[0].lifetime + inst.delta

@@ -14,8 +14,10 @@ from temporeach.twdp import (
     NiceDecomposition,
     TreeDecomposition,
     _Ctx,
+    _insert_digit,
     _join_rin,
     _node_states,
+    _u_enum,
     decompose_exact_small,
     join_rounds,
     make_nice,
@@ -188,6 +190,21 @@ def test_introduce_arrivals_match_relabelled_graph(text):
                     if x != v:
                         got = state.r_in[v][t][x]
                         assert got == (ctx.inf if want[x] is None else want[x]), (state.p, v, t, x)
+
+
+def test_forget_child_index_inserts_u_digit():
+    # forget reads the child's count at the parent's departure vector with u's
+    # departure inserted at u's column; the arithmetic index must be that
+    # vector's position in itertools.product order
+    for base in (2, 3, 5):
+        for size in range(4):
+            child_order = {vec: i for i, vec in enumerate(itertools.product(range(base), repeat=size + 1))}
+            for col in range(size + 1):
+                scale = base ** (size - col)
+                for index, vec in enumerate(_u_enum(base, size)):
+                    for digit in range(base):
+                        want = child_order[vec[:col] + (digit,) + vec[col:]]
+                        assert _insert_digit(index, digit, scale, base) == want
 
 
 def test_join_fixpoint():
