@@ -1,6 +1,8 @@
 """Work caps guarding the exponential strategies.  Each cap is in its own
 unit: XP sweep operations, oracle candidates and treewidth-DP candidate
-states."""
+states.  The treewidth DP's count spans the whole call: sources share the
+decomposition sides they have in common, and each evaluated node counts
+once."""
 
 from __future__ import annotations
 

@@ -117,6 +117,8 @@ def _expanded_reach_counts(g: TemporalGraph, delta: int) -> list[int]:
 def solve_trp(g: TemporalGraph, delta: int, h: int) -> SolveResult:
     """Exact unlimited-count answer; reach_count is the maximum over all
     sources of the best achievable reach, source the smallest attaining it."""
+    if delta < 0:
+        raise ValueError("delta must be nonnegative")
     if not (1 <= h <= g.n):
         raise ValueError(f"h must be in [1, n], got {h}")
     counts = _expanded_reach_counts(g, delta)

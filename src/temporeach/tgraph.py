@@ -267,7 +267,6 @@ def serialize_perturbation(p: Perturbation) -> str:
 
 def check_perturbation(g: TemporalGraph, p: Perturbation) -> None:
     """Raise PerturbationError naming the first offending record, if any."""
-    lifetime = g.lifetime
     by_edge: dict[Edge, dict[int, int]] = {}
     for e, old, new in p.records:
         if e not in g.edge_index:
@@ -279,8 +278,6 @@ def check_perturbation(g: TemporalGraph, p: Perturbation) -> None:
             raise PerturbationError(
                 f"record {e} {old}->{new}: new time outside [max(1,{old}-{p.delta}), {old}+{p.delta}]"
             )
-        if new > lifetime + p.delta:
-            raise PerturbationError(f"record {e} {old}->{new}: new time exceeds T+delta")
         moves = by_edge.setdefault(e, {})
         if old in moves:
             raise PerturbationError(f"record {e} {old}->{new}: duplicate record for this appearance")

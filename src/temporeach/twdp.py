@@ -10,6 +10,15 @@ appearances on edges with a forgotten endpoint.  Leaf/introduce/forget/join
 rules derive parent states constructively from child states, so enumeration
 is over (bag-edge image choices x child-state combinations) only.
 
+Each nice node is evaluated as it is built (``_Node``: bag, states,
+children).  ``_side(c, parent)`` is decomposition node c's subtree seen from
+its neighbour ``parent``, topped by c's bag: a leaf with c's bag introduced,
+or the other neighbours' sides, each reshaped to c's bag (``_reshape``:
+forgets, then introduces), joined in adjacency order.  A side depends only
+on its link, so one call memoises it by (c, parent) and every source shares
+it; a source reshapes the side of the first bag holding it, with parent -1,
+down to {source}.
+
 A join node stitches its two sides' arrival functions (``_join_rin``): the
 sides meet only in the bag, so a foremost path alternates between them at bag
 vertices.  An introduce node of vertex u is the same situation: the child's
@@ -30,8 +39,9 @@ arrival times range over 0..horizon with horizon <= (distinct labels) *
 (2*delta+1) + delta whatever the size of the labels; the certificate is mapped
 back and checked on the original graph.
 
-Scoped to micro parameters: one candidate counter spans the whole call, over
-every source, and exceeding ``caps.tw_states`` triggers a refusal.
+Scoped to micro parameters: one candidate counter spans the whole call,
+counting each evaluated node once however many sources share it, and
+exceeding ``caps.tw_states`` triggers a refusal.
 """
 
 from __future__ import annotations
@@ -104,20 +114,17 @@ def validate_decomposition(
     for u, v in graph_edges:
         if not any(u in b and v in b for b in decomp.bags):
             raise DecompositionError(f"edge ({u},{v}) is contained in no bag")
+    # the links form a tree, so the bags holding v are connected exactly when
+    # the links between two of them number one fewer than those bags
+    spare = [0] * n
+    for bag in decomp.bags:
+        for v in bag:
+            spare[v] += 1
+    for a, b in decomp.links:
+        for v in decomp.bags[a] & decomp.bags[b]:
+            spare[v] -= 1
     for v in range(n):
-        holders = [i for i, b in enumerate(decomp.bags) if v in b]
-        if not holders:
-            continue
-        hset = set(holders)
-        comp = {holders[0]}
-        stack = [holders[0]]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y in hset and y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        if comp != hset:
+        if spare[v] != 1:
             raise DecompositionError(f"bags containing vertex {v} are not connected")
 
 
@@ -209,86 +216,6 @@ def decompose_exact_small(n: int, edges: tuple[Edge, ...]) -> TreeDecomposition:
         elif i + 1 < n:
             links.append((i, i + 1))
     return TreeDecomposition(tuple(bags), tuple(links))
-
-
-# ---------------------------------------------------------------------------
-# Nice decompositions
-
-
-@dataclass(frozen=True)
-class NiceNode:
-    bag: tuple[int, ...]
-    kind: str  # "leaf" | "introduce" | "forget" | "join"
-    vertex: Optional[int]
-    children: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class NiceDecomposition:
-    """Children always have smaller ids than their parent, so evaluating nodes
-    in index order is bottom-up; the last node is the root."""
-
-    nodes: tuple[NiceNode, ...]
-
-    @property
-    def root(self) -> int:
-        return len(self.nodes) - 1
-
-
-def make_nice(
-    decomp: TreeDecomposition, source: int, n: int, graph_edges: tuple[Edge, ...]
-) -> NiceDecomposition:
-    """Equivalent nice decomposition of the same width whose root bag is
-    exactly {source}; rooted at a node whose bag already holds the source."""
-    validate_decomposition(n, graph_edges, decomp)
-    holders = [i for i, b in enumerate(decomp.bags) if source in b]
-    if not holders:
-        raise DecompositionError(f"source {source} appears in no bag")
-    root0 = min(holders)
-    adj: list[list[int]] = [[] for _ in decomp.bags]
-    for a, b in decomp.links:
-        adj[a].append(b)
-        adj[b].append(a)
-    nodes: list[NiceNode] = []
-
-    def emit(bag, kind, vertex, children) -> int:
-        nodes.append(NiceNode(tuple(sorted(bag)), kind, vertex, tuple(children)))
-        return len(nodes) - 1
-
-    def chain_introduce(below: int, have: set[int], want: set[int]) -> int:
-        cur = below
-        bag = set(have)
-        for v in sorted(want - have):
-            bag.add(v)
-            cur = emit(bag, "introduce", v, (cur,))
-        return cur
-
-    def transform(below: int, have: frozenset[int], want: frozenset[int]) -> int:
-        cur = below
-        bag = set(have)
-        for v in sorted(have - want):
-            bag.discard(v)
-            cur = emit(bag, "forget", v, (cur,))
-        return chain_introduce(cur, bag, set(want))
-
-    def build(node: int, parent: int) -> int:
-        bag = decomp.bags[node]
-        kids = [c for c in adj[node] if c != parent]
-        if not kids:
-            leaf = emit((), "leaf", None, ())
-            return chain_introduce(leaf, set(), set(bag))
-        arms = [transform(build(c, node), decomp.bags[c], bag) for c in kids]
-        cur = arms[0]
-        for arm in arms[1:]:
-            cur = emit(bag, "join", None, (cur, arm))
-        return cur
-
-    top = build(root0, -1)
-    bag = set(decomp.bags[root0])
-    for v in sorted(bag - {source}):
-        bag.discard(v)
-        top = emit(bag, "forget", v, (top,))
-    return NiceDecomposition(tuple(nodes))
 
 
 def parse_decomposition(text: str | bytes) -> TreeDecomposition:
@@ -619,46 +546,72 @@ def _join_states(
     return out
 
 
-def _node_states(ctx, nice, node_id, child_state_sets, counter):
-    """All valid states of one nice-decomposition node given its children's
-    state sets (keys are states; values are witnessing child-state tuples)."""
-    node = nice.nodes[node_id]
-    if node.kind == "leaf":
-        return {TwState((), (), (0,), 0): ()}
-    if node.kind == "introduce":
-        child = nice.nodes[node.children[0]]
-        return _introduce_states(
-            ctx, node.bag, node.vertex, child.bag, child_state_sets[0], counter
-        )
-    if node.kind == "forget":
-        child = nice.nodes[node.children[0]]
-        return _forget_states(
-            ctx, node.bag, node.vertex, child.bag, child_state_sets[0], counter
-        )
-    return _join_states(ctx, node.bag, child_state_sets[0], child_state_sets[1], counter)
+class _Node(NamedTuple):
+    """An evaluated nice-decomposition node: its sorted bag, its states (each
+    mapped to the child states that witness it) and its child nodes.  One
+    child and a larger bag is an introduce node, one child and a smaller bag a
+    forget node, two children a join."""
+
+    bag: tuple[int, ...]
+    states: dict[TwState, tuple]
+    children: tuple["_Node", ...]
+
+
+_LEAF = _Node((), {TwState((), (), (0,), 0): ()}, ())
+
+
+def _reshape(ctx: _Ctx, node: _Node, want: frozenset[int], counter: list[int]) -> _Node:
+    """Forget the bag's vertices that are not in ``want``, then introduce the
+    missing ones, each in sorted order."""
+    for u in sorted(set(node.bag) - want):
+        bag = tuple(v for v in node.bag if v != u)
+        node = _Node(bag, _forget_states(ctx, bag, u, node.bag, node.states, counter), (node,))
+    for u in sorted(want - set(node.bag)):
+        bag = tuple(sorted(node.bag + (u,)))
+        node = _Node(bag, _introduce_states(ctx, bag, u, node.bag, node.states, counter), (node,))
+    return node
+
+
+def _side(
+    ctx: _Ctx, decomp: TreeDecomposition, sides: dict[tuple[int, int], _Node],
+    c: int, parent: int, counter: list[int],
+) -> _Node:
+    """The evaluated nice subtree of decomposition node c seen from its
+    neighbour ``parent`` (-1 at the root), topped by c's bag: a leaf with c's
+    bag introduced if c has no other neighbour, else every other neighbour's
+    side reshaped to c's bag, joined in adjacency order.  Memoised in
+    ``sides`` by the link, so every source shares it."""
+    node = sides.get((c, parent))
+    if node is not None:
+        return node
+    bag = decomp.bags[c]
+    neighbours = [b if a == c else a for a, b in decomp.links if c in (a, b)]
+    arms = [
+        _reshape(ctx, _side(ctx, decomp, sides, x, c, counter), bag, counter)
+        for x in neighbours if x != parent
+    ] or [_reshape(ctx, _LEAF, bag, counter)]
+    node = arms[0]
+    for arm in arms[1:]:
+        states = _join_states(ctx, node.bag, node.states, arm.states, counter)
+        node = _Node(node.bag, states, (node, arm))
+    sides[c, parent] = node
+    return node
 
 
 def _solve_for_source(
-    ctx: _Ctx, nice: NiceDecomposition, source: int, counter: list[int]
+    ctx: _Ctx, decomp: TreeDecomposition, sides: dict[tuple[int, int], _Node],
+    source: int, counter: list[int],
 ) -> Optional[list]:
-    """Moved-appearance records of the first accepted root state, or None."""
-    states: list[dict[TwState, tuple]] = []
-    for node_id, node in enumerate(nice.nodes):
-        kids = tuple(states[c] for c in node.children)
-        states.append(_node_states(ctx, nice, node_id, kids, counter))
-        if not states[-1] and node.kind != "leaf":
-            return None
-    root = nice.root
-    root_bag = nice.nodes[root].bag
-    assert root_bag == (source,)
-    accepted = None
-    for key in sorted(states[root]):
-        if key.r_below[0] >= ctx.h - 1:  # the source departs at time 0
-            accepted = key
-            break
+    """Moved-appearance records of the first accepted state of the first bag
+    holding the source, reshaped to {source}; or None."""
+    root0 = next(i for i, bag in enumerate(decomp.bags) if source in bag)
+    top = _side(ctx, decomp, sides, root0, -1, counter)
+    root = _reshape(ctx, top, frozenset((source,)), counter)
+    # the source departs at time 0
+    accepted = next((key for key in sorted(root.states) if key.r_below[0] >= ctx.h - 1), None)
     if accepted is None:
         return None
-    images = _collect_images(ctx, nice, states, accepted)
+    images = _collect_images(ctx, root, accepted)
     records = []
     for e, image in sorted(images.items()):
         ei = ctx.g.edge_index[e]
@@ -668,19 +621,16 @@ def _solve_for_source(
     return records
 
 
-def _collect_images(ctx, nice, states, root_key) -> dict[Edge, tuple[int, ...]]:
+def _collect_images(ctx: _Ctx, root: _Node, root_key: TwState) -> dict[Edge, tuple[int, ...]]:
     images: dict[Edge, tuple[int, ...]] = {}
-    stack = [(nice.root, root_key)]
+    stack = [(root, root_key)]
     while stack:
-        node_id, key = stack.pop()
-        node = nice.nodes[node_id]
+        node, key = stack.pop()
         for e, image in zip(ctx.bag_edges(node.bag), key.p):
             prev = images.get(e)
             assert prev is None or prev == image
             images[e] = image
-        witness = states[node_id][key]
-        for child_id, child_key in zip(node.children, witness):
-            stack.append((child_id, child_key))
+        stack.extend(zip(node.children, node.states[key]))
     for e, ts in zip(ctx.g.edges, ctx.g.labels):
         images.setdefault(e, ts)
     return images
@@ -691,14 +641,17 @@ def solve_trlp_treewidth(
     decomp: TreeDecomposition,
     caps: WorkCaps = DEFAULT_CAPS,
 ) -> SolveResult:
-    """Exact answer over all sources; smallest yes-source wins.
-    ``caps.tw_states`` bounds the candidates of the whole call."""
+    """Exact answer over all sources; smallest yes-source wins.  Sources share
+    every side of the decomposition they have in common, and
+    ``caps.tw_states`` bounds the candidates of the whole call, each
+    evaluated node counted once."""
     g, shift = compress_time(inst.graph, inst.delta)
+    validate_decomposition(g.n, g.edges, decomp)
     ctx = _Ctx(replace(inst, graph=g), caps)
+    sides: dict[tuple[int, int], _Node] = {}
     counter = [0]
     for source in range(g.n):
-        nice = make_nice(decomp, source, g.n, g.edges)
-        records = _solve_for_source(ctx, nice, source, counter)
+        records = _solve_for_source(ctx, decomp, sides, source, counter)
         if records is not None:
             return _certified_yes(inst, "treewidth", source, records, shift)
     return SolveResult(False, "treewidth")

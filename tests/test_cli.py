@@ -88,6 +88,14 @@ def test_trp_command(runner, tmp_path):
     assert "STRATEGY trp" in res.output
 
 
+@pytest.mark.parametrize("h", ["1", "3"])
+def test_trp_negative_delta_refused(runner, tmp_path, h):
+    gpath = write(tmp_path, "g.tg", PATH_TG)
+    res = runner.invoke(main, ["trp", "-g", gpath, "--delta", "-1", "--h", h])
+    assert res.exit_code == 2
+    assert res.output == "REFUSED delta must be nonnegative\n"
+
+
 def test_verify_roundtrip_from_solver_output(runner, tmp_path):
     gpath = write(tmp_path, "g.tg", PATH_TG)
     res = runner.invoke(

@@ -56,6 +56,12 @@ def test_trp_h_one():
     assert res.answer and res.perturbation.perturbed_count == 0
 
 
+def test_trp_negative_delta_rejected():
+    g = parse_graph("n 3\ne 0 1 2\ne 1 2 1")
+    with pytest.raises(ValueError, match="delta must be nonnegative"):
+        solve_trp(g, -1, 1)
+
+
 @settings(max_examples=60, deadline=None)
 @given(temporal_graphs(max_n=5, max_t=3, max_labels=2, max_edges=3), st.integers(0, 2))
 def test_trp_count_and_pointwise_optimality(g, delta):

@@ -9,18 +9,20 @@ from temporeach.solvers import TrlpInstance, solve_trlp_xp
 from temporeach.tgraph import TemporalGraph, apply_perturbation, parse_graph, validate_relabelling
 from temporeach.testkit import oracle_trlp_max_reach, random_instance
 from temporeach.treedp import solve_trlp_tree_all_sources
+from temporeach import twdp
 from temporeach.twdp import (
+    _LEAF,
     DecompositionError,
-    NiceDecomposition,
     TreeDecomposition,
     _Ctx,
     _insert_digit,
     _join_rin,
-    _node_states,
+    _Node,
+    _reshape,
+    _side,
     _u_enum,
     decompose_exact_small,
     join_rounds,
-    make_nice,
     parse_decomposition,
     solve_trlp_treewidth,
     validate_decomposition,
@@ -87,76 +89,98 @@ def test_decomposition_file_roundtrip():
     assert d2 == d
 
 
-def test_make_nice_shapes():
+def nice_root(ctx, d, source):
+    """The evaluated root for ``source``: the side of the first bag holding it,
+    reshaped to {source}."""
+    root0 = min(i for i, b in enumerate(d.bags) if source in b)
+    counter = [0]
+    return _reshape(ctx, _side(ctx, d, {}, root0, -1, counter), frozenset({source}), counter)
+
+
+def nice_nodes(root):
+    out, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        stack.extend(node.children)
+    return out
+
+
+def nice_kind(node):
+    if not node.children:
+        return "leaf"
+    if len(node.children) == 2:
+        return "join"
+    return "introduce" if len(node.bag) > len(node.children[0].bag) else "forget"
+
+
+def test_nice_node_shapes():
     g = parse_graph("n 3\ne 0 1 1\ne 1 2 1")
     d = TreeDecomposition((frozenset({0, 1}), frozenset({1, 2})), ((0, 1),))
-    nice = make_nice(d, 0, 3, g.edges)
-    root = nice.nodes[nice.root]
+    root = nice_root(_Ctx(TrlpInstance(g, 1, 1, 2), WorkCaps()), d, 0)
     assert root.bag == (0,)
-    kinds = {node.kind for node in nice.nodes}
-    assert kinds <= {"leaf", "introduce", "forget", "join"}
-    for i, node in enumerate(nice.nodes):
-        for c in node.children:
-            assert c < i
-        if node.kind == "leaf":
+    nodes = nice_nodes(root)
+    assert {nice_kind(node) for node in nodes} <= {"leaf", "introduce", "forget", "join"}
+    for node in nodes:
+        # children are evaluated nodes built before their parent, so the
+        # walk from the root is bottom-up in reverse and ends
+        assert len(node.children) <= 2
+        assert all(isinstance(c, _Node) for c in node.children)
+        assert node.bag == tuple(sorted(set(node.bag)))
+        kind = nice_kind(node)
+        if kind == "leaf":
             assert node.bag == ()
-        if node.kind == "introduce":
-            child = nice.nodes[node.children[0]]
-            assert set(node.bag) == set(child.bag) | {node.vertex}
-        if node.kind == "forget":
-            child = nice.nodes[node.children[0]]
-            assert set(node.bag) == set(child.bag) - {node.vertex}
-        if node.kind == "join":
-            a, b = (nice.nodes[c] for c in node.children)
+        if kind == "introduce":
+            child = node.children[0]
+            (u,) = set(node.bag) - set(child.bag)
+            assert set(node.bag) == set(child.bag) | {u}
+        if kind == "forget":
+            child = node.children[0]
+            (u,) = set(child.bag) - set(node.bag)
+            assert set(node.bag) == set(child.bag) - {u}
+        if kind == "join":
+            a, b = node.children
             assert a.bag == b.bag == node.bag
 
 
-def test_make_nice_single_vertex():
+def test_nice_root_single_vertex():
+    g = TemporalGraph(1, (), ())
     d = TreeDecomposition((frozenset({0}),), ())
-    nice = make_nice(d, 0, 1, ())
-    assert nice.nodes[nice.root].bag == (0,)
+    assert nice_root(_Ctx(TrlpInstance(g, 1, 0, 1), WorkCaps()), d, 0).bag == (0,)
 
 
-def test_make_nice_source_elsewhere():
+def test_nice_root_source_elsewhere():
     # source only in a non-root bag: re-rooting keeps occurrences connected
     g = parse_graph("n 4\ne 0 1 1\ne 1 2 1\ne 2 3 1")
     d = TreeDecomposition(
         (frozenset({0, 1}), frozenset({1, 2}), frozenset({2, 3})), ((0, 1), (1, 2))
     )
+    ctx = _Ctx(TrlpInstance(g, 1, 1, 2), WorkCaps())
     for source in range(4):
-        nice = make_nice(d, source, 4, g.edges)
-        assert nice.nodes[nice.root].bag == (source,)
+        assert nice_root(ctx, d, source).bag == (source,)
 
 
 def test_leaf_state_shape():
     g = parse_graph("n 2\ne 0 1 1")
     inst = TrlpInstance(g, 1, 1, 2)
     d = decompose_exact_small(2, g.edges)
-    nice = make_nice(d, 0, 2, g.edges)
-    leaf_id = next(i for i, nd in enumerate(nice.nodes) if nd.kind == "leaf")
-    states = _node_states(_Ctx(inst, WorkCaps()), nice, leaf_id, (), [0])
-    assert len(states) == 1
-    (s,) = states
-    assert s.p == () and s.r_in == () and s.r_below == (0,) and s.zeta_below == 0
+    root = nice_root(_Ctx(inst, WorkCaps()), d, 0)
+    leaves = [node for node in nice_nodes(root) if nice_kind(node) == "leaf"]
+    assert leaves
+    for leaf in leaves:
+        assert len(leaf.states) == 1
+        (s,) = leaf.states
+        assert s.p == () and s.r_in == () and s.r_below == (0,) and s.zeta_below == 0
 
 
 def test_introduce_isolated_vertex_rows():
     # introducing a vertex with no bag edges: its own row is the trivial one
-    from temporeach.twdp import NiceNode
-
     g = TemporalGraph(2, (), ())
     inst = TrlpInstance(g, 1, 0, 1)
-    nice = NiceDecomposition(
-        (
-            NiceNode((), "leaf", None, ()),
-            NiceNode((0,), "introduce", 0, (0,)),
-        )
-    )
-    ctx = _Ctx(inst, WorkCaps())
-    leaf = _node_states(ctx, nice, 0, (), [0])
-    states = _node_states(ctx, nice, 1, (leaf,), [0])
-    assert len(states) == 1
-    (s,) = states
+    node = _reshape(_Ctx(inst, WorkCaps()), _LEAF, frozenset({0}), [0])
+    assert node.bag == (0,) and node.children == (_LEAF,)
+    assert len(node.states) == 1
+    (s,) = node.states
     horizon = g.lifetime + inst.delta
     for t in range(horizon + 1):
         assert s.r_in[0][t][0] == t
@@ -173,15 +197,11 @@ def test_introduce_arrivals_match_relabelled_graph(text):
     g = parse_graph(text)
     inst = TrlpInstance(g, 1, 3, 3)
     d = TreeDecomposition((frozenset({0, 1, 2}),), ())
-    nice = make_nice(d, 0, 3, g.edges)
     ctx = _Ctx(inst, WorkCaps())
-    states = []
-    for i, node in enumerate(nice.nodes):
-        states.append(_node_states(ctx, nice, i, tuple(states[c] for c in node.children), [0]))
-    top = max(i for i, node in enumerate(nice.nodes) if node.kind == "introduce")
-    assert nice.nodes[top].bag == (0, 1, 2)
-    assert len({s.p for s in states[top]}) > 20
-    for state in states[top]:
+    top = _side(ctx, d, {}, 0, -1, [0])
+    assert top.bag == (0, 1, 2) and nice_kind(top) == "introduce"
+    assert len({s.p for s in top.states}) > 20
+    for state in top.states:
         pg = g.with_labels(dict(zip(ctx.bag_edges((0, 1, 2)), state.p)))
         for v in range(3):
             for t in range(ctx.horizon + 1):
@@ -301,13 +321,53 @@ def test_h1_trivial_yes():
 
 
 def test_treewidth_cap_bounds_whole_call():
-    # ζ=0 on the all-ones C4 is a no, so every source runs; each needs at
-    # most 19 candidates and the four together 55
+    # ζ=0 on the all-ones C4 is a no, so every source runs; the sources share
+    # the sides they have in common and each evaluated node counts once:
+    # source 0 alone needs 12 candidates and the whole call 32 (rebuilding
+    # every source's decomposition needed 55)
     inst = TrlpInstance(C4, 1, 0, 4)
     d = decompose_exact_small(4, C4.edges)
     with pytest.raises(CapExceeded):
         solve_trlp_treewidth(inst, d, caps=WorkCaps(tw_states=20))
-    assert not solve_trlp_treewidth(inst, d, caps=WorkCaps(tw_states=55)).answer
+    assert not solve_trlp_treewidth(inst, d, caps=WorkCaps(tw_states=32)).answer
+
+
+def test_sources_share_sides(monkeypatch):
+    # on a no-instance every source runs, yet each side (c, parent) of the
+    # decomposition is evaluated once: the rule calls are at most the sides'
+    # own nodes plus one forget chain per source
+    calls = [0]
+
+    def counted(rule):
+        def wrapper(*args):
+            calls[0] += 1
+            return rule(*args)
+
+        return wrapper
+
+    for name in ("_introduce_states", "_forget_states", "_join_states"):
+        monkeypatch.setattr(twdp, name, counted(getattr(twdp, name)))
+    g = parse_graph("n 6\ne 0 5 1\n" + "".join(f"e {i} {i + 1} 1\n" for i in range(5)))
+    d = decompose_exact_small(g.n, g.edges)
+    assert not solve_trlp_treewidth(TrlpInstance(g, 1, 0, g.n), d).answer
+
+    bags = d.bags
+    neighbours = [[b if a == c else a for a, b in d.links if c in (a, b)] for c in range(len(bags))]
+    roots = [min(i for i, b in enumerate(bags) if v in b) for v in range(g.n)]
+    sides, stack = set(), [(r, -1) for r in roots]
+    while stack:
+        c, parent = stack.pop()
+        sides.add((c, parent))
+        stack.extend((x, c) for x in neighbours[c] if x != parent)
+
+    def own_nodes(c, parent):
+        arms = [x for x in neighbours[c] if x != parent]
+        if not arms:
+            return len(bags[c])  # introduces above the leaf
+        return sum(len(bags[x] ^ bags[c]) for x in arms) + len(arms) - 1
+
+    bound = sum(own_nodes(c, p) for c, p in sides) + sum(len(bags[r]) - 1 for r in roots)
+    assert calls[0] <= bound, (calls[0], bound)
 
 
 def compressed_micro_instances(count, seed=7):
@@ -353,6 +413,28 @@ def test_compressed_dps_match_xp():
         else:
             got = solve_trlp_treewidth(inst, decompose_exact_small(g.n, g.edges))
         assert got.answer == want, inst
+        if got.answer:
+            pg = apply_perturbation(g, got.perturbation)
+            count = sum(1 for a in arrivals(pg, got.source) if a is not None)
+            assert count == got.reach_count >= inst.h
+
+
+def test_sources_rooted_apart_match_xp():
+    # a singleton bag per vertex in front of an exact decomposition, each
+    # linked to the first bag holding its vertex: every source roots at its
+    # own bag, so sources share only the sides below their roots
+    for inst in compressed_micro_instances(40, seed=11):
+        g = inst.graph
+        d = decompose_exact_small(g.n, g.edges)
+        k = g.n
+        holder = [min(i for i, b in enumerate(d.bags) if v in b) for v in range(k)]
+        padded = TreeDecomposition(
+            tuple(frozenset({v}) for v in range(k)) + d.bags,
+            tuple((v, k + holder[v]) for v in range(k)) + tuple((a + k, b + k) for a, b in d.links),
+        )
+        want = solve_trlp_xp(inst)
+        got = solve_trlp_treewidth(inst, padded)
+        assert (got.answer, got.source) == (want.answer, want.source), inst
         if got.answer:
             pg = apply_perturbation(g, got.perturbation)
             count = sum(1 for a in arrivals(pg, got.source) if a is not None)
