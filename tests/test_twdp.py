@@ -122,8 +122,8 @@ def test_nice_node_shapes():
     nodes = nice_nodes(root)
     assert {nice_kind(node) for node in nodes} <= {"leaf", "introduce", "forget", "join"}
     for node in nodes:
-        # children are evaluated nodes built before their parent, so the
-        # walk from the root is bottom-up in reverse and ends
+        # a child is a node built before its parent, so the walk from the
+        # root ends and evaluation order is bottom-up by construction
         assert len(node.children) <= 2
         assert all(isinstance(c, _Node) for c in node.children)
         assert node.bag == tuple(sorted(set(node.bag)))
