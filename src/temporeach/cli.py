@@ -48,8 +48,8 @@ def _emit(fields: list[tuple[str, object]], as_json: bool) -> None:
         obj: dict[str, object] = {}
         for key, val in fields:
             k = key.lower()
-            if k == "perturb":
-                obj.setdefault("perturb", []).append(val)
+            if k in ("perturb", "arrival"):
+                obj.setdefault(k, []).append(val)
             else:
                 obj[k] = val
         click.echo(json.dumps(obj, sort_keys=True), file=sys.stdout)

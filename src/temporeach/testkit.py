@@ -71,8 +71,11 @@ class CnfFormula:
 
 
 def parse_dimacs(text: str) -> CnfFormula:
+    """Clauses are the literal stream split at each 0, across lines; a last
+    clause without its 0 still counts."""
     num_vars = None
     clauses: list[tuple[int, ...]] = []
+    clause: list[int] = []
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -83,11 +86,14 @@ def parse_dimacs(text: str) -> CnfFormula:
                 raise ValueError(f"problem line {line!r} has no variable count")
             num_vars = int(parts[2])
             continue
-        lits = [int(x) for x in line.split()]
-        if lits and lits[-1] == 0:
-            lits = lits[:-1]
-        if lits:
-            clauses.append(tuple(lits))
+        for lit in map(int, line.split()):
+            if lit:
+                clause.append(lit)
+            elif clause:
+                clauses.append(tuple(clause))
+                clause = []
+    if clause:
+        clauses.append(tuple(clause))
     if num_vars is None:
         num_vars = max((abs(l) for c in clauses for l in c), default=1)
     return CnfFormula(num_vars, tuple(clauses))
@@ -296,14 +302,9 @@ def _check_cap(g: TemporalGraph, delta: int, zeta: int, caps: WorkCaps) -> None:
         raise CapExceeded(f"oracle space ~{est} exceeds cap {caps.oracle_evals}")
 
 
-def oracle_trlp(
-    inst: TrlpInstance,
-    caps: WorkCaps = DEFAULT_CAPS,
-    eset: Optional[Iterable[Edge]] = None,
-) -> SolveResult:
-    """Literal enumeration of the whole perturbation space (optionally only
-    the edges in ``eset``); exact answer with the first witnessing
-    perturbation in enumeration order.
+def oracle_trlp(inst: TrlpInstance, caps: WorkCaps = DEFAULT_CAPS) -> SolveResult:
+    """Literal enumeration of the whole perturbation space; exact answer with
+    the first witnessing perturbation in enumeration order.
 
     On a no, reach_count is only the best count among the candidates the
     scan visited: pruned branches are never completed, so it can fall below
@@ -325,7 +326,6 @@ def oracle_trlp(
         g,
         inst.delta,
         inst.zeta,
-        eset=eset,
         keep=lambda relaxed: _scan_sources(relaxed, inst.h)[0] is not None,
         on_complete=accept,
     )
@@ -336,11 +336,7 @@ def oracle_trlp(
 
 
 def oracle_trlp_max_reach(
-    g: TemporalGraph,
-    delta: int,
-    zeta: int,
-    caps: WorkCaps = DEFAULT_CAPS,
-    eset: Optional[Iterable[Edge]] = None,
+    g: TemporalGraph, delta: int, zeta: int, caps: WorkCaps = DEFAULT_CAPS
 ) -> int:
     """Maximum over every (delta,zeta)-perturbation of the best per-source
     reach; answers a whole h-sweep with one enumeration.  The pruning test
@@ -357,7 +353,6 @@ def oracle_trlp_max_reach(
         g,
         delta,
         zeta,
-        eset=eset,
         keep=lambda relaxed: max(reach_counts(relaxed)) > best[0],
         on_complete=visit,
     )

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional
 
 Edge = tuple[int, int]
@@ -328,7 +328,6 @@ def compress_time(g: TemporalGraph, delta: int) -> tuple[TemporalGraph, dict[int
     return TemporalGraph(g.n, g.edges, labels), {c: t - c for t, c in new.items()}
 
 
-@lru_cache(maxsize=200_000)
 def _minimal_matching(
     old: tuple[int, ...], new: tuple[int, ...], delta: int
 ) -> Optional[tuple[tuple[int, int], ...]]:

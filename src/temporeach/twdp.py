@@ -6,18 +6,22 @@ inside the bag; for every (bag vertex v, departure time t) the foremost
 arrival at each bag vertex over paths inside the processed subgraph; for
 every assignment of departure times to bag vertices, how many distinct
 already-forgotten vertices they reach (capped at h); and the number of moved
-appearances on edges with a forgotten endpoint.  Leaf/introduce/forget/join
-rules derive parent states constructively from child states, so enumeration
-is over (bag-edge image choices x child-state combinations) only.
+appearances on every edge of the processed subgraph.  An edge's moves are
+charged once, when the introduce node that adds it picks its image; a join
+adds its sides' moves and takes off the bag edges' cost, which both sides
+hold.  Leaf/introduce/forget/join rules derive parent states constructively
+from child states, so enumeration is over (bag-edge image choices x
+child-state combinations) only.
 
 Each nice node is evaluated as it is built (``_Node``: bag, states,
 children).  ``_side(c, parent)`` is decomposition node c's subtree seen from
-its neighbour ``parent``, topped by c's bag: a leaf with c's bag introduced,
-or the other neighbours' sides, each reshaped to c's bag (``_reshape``:
-forgets, then introduces), joined in adjacency order.  A side depends only
-on its link, so one call memoises it by (c, parent) and every source shares
-it; a source reshapes the side of the first bag holding it, with parent -1,
-down to {source}.
+its neighbour ``parent``, topped by parent's bag: a leaf with c's bag
+introduced, or the other neighbours' sides, joined in adjacency order, then
+reshaped to parent's bag (``_reshape``: forgets, then introduces).  A side
+depends only on its link, so one call memoises it by (c, parent) and every
+source shares it, each arm reshaped once; a source reshapes the side of the
+first bag holding it, with parent -1 and so topped by that bag, down to
+{source}.
 
 A join node stitches its two sides' arrival functions (``_join_rin``): the
 sides meet only in the bag, so a foremost path alternates between them at bag
@@ -255,12 +259,13 @@ def parse_decomposition(text: str | bytes) -> TreeDecomposition:
 
 class TwState(NamedTuple):
     """Hashable state: bag-edge images, in-subgraph foremost arrivals, counts
-    of reached forgotten vertices per departure assignment, moves below."""
+    of reached forgotten vertices per departure assignment, and the moves on
+    every edge of the processed subgraph, charged when each is introduced."""
 
     p: tuple[tuple[int, ...], ...]
     r_in: tuple[tuple[tuple[int, ...], ...], ...]
     r_below: tuple[int, ...]
-    zeta_below: int
+    moves: int
 
 
 class _Ctx:
@@ -272,7 +277,7 @@ class _Ctx:
         self.caps = caps
         self.horizon = self.g.lifetime + inst.delta
         self.inf = self.horizon + 1
-        self._images: dict[int, tuple[tuple[tuple[int, ...], int], ...]] = {}
+        self._images: dict[Edge, dict[tuple[int, ...], int]] = {}
 
     def bag_edges(self, bag: tuple[int, ...]) -> tuple[Edge, ...]:
         inside = []
@@ -282,12 +287,13 @@ class _Ctx:
                     inside.append((u, v))
         return tuple(sorted(inside))
 
-    def images(self, e: Edge) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """(sorted label image, minimal move count) choices for edge e."""
-        ei = self.g.edge_index[e]
-        if ei in self._images:
-            return self._images[ei]
-        labels = self.g.labels[ei]
+    def images(self, e: Edge) -> dict[tuple[int, ...], int]:
+        """Edge e's label images, each sorted, mapped to their minimal move
+        counts, in image order; built once per call."""
+        out = self._images.get(e)
+        if out is not None:
+            return out
+        labels = self.g.labels[self.g.edge_index[e]]
         windows = [
             range(max(1, t - self.delta), t + self.delta + 1) for t in labels
         ]
@@ -298,8 +304,7 @@ class _Ctx:
             image = tuple(sorted(targets))
             if image not in seen:
                 seen[image] = minimal_moves(labels, image, self.delta)
-        out = tuple(sorted(seen.items()))
-        self._images[ei] = out
+        out = self._images[e] = dict(sorted(seen.items()))
         return out
 
 
@@ -319,11 +324,14 @@ def _insert_digit(index: int, digit: int, scale: int, base: int) -> int:
 
 
 def _bag_cost(ctx: _Ctx, bag_edges: tuple[Edge, ...], p: tuple) -> int:
-    total = 0
-    for e, image in zip(bag_edges, p):
-        ei = ctx.g.edge_index[e]
-        total += minimal_moves(ctx.g.labels[ei], image, ctx.delta)
-    return total
+    return sum(ctx.images(e)[image] for e, image in zip(bag_edges, p))
+
+
+def _count(ctx: _Ctx, counter: list[int], kind: str) -> None:
+    """Count one candidate of the call; refuse past ``caps.tw_states``."""
+    counter[0] += 1
+    if counter[0] > ctx.caps.tw_states:
+        raise CapExceeded(f"{kind} node candidate count exceeded {ctx.caps.tw_states}")
 
 
 def _star_rows(
@@ -365,8 +373,7 @@ def _introduce_states(
     edges_child = ctx.bag_edges(child_bag)
     new_edges = tuple(e for e in edges_s if u in e)
     new_cols = [vidx[e[0] if e[1] == u else e[1]] for e in new_edges]
-    old_pos = {e: i for i, e in enumerate(edges_child)}
-    image_lists = [ctx.images(e) for e in new_edges]
+    image_lists = [ctx.images(e).items() for e in new_edges]
     u_alone = tuple(tuple(t if j == u_i else inf for j in range(k)) for t in range(horizon + 1))
     base = inf + 1
     u_all = _u_enum(base, k)
@@ -374,8 +381,6 @@ def _introduce_states(
     out: dict[TwState, tuple] = {}
 
     for ckey in sorted(child_states):
-        czb = ckey.zeta_below
-        child_cost = _bag_cost(ctx, edges_child, ckey.p)
         # the child's arrivals with u added as an isolated vertex
         child_rows = tuple(
             u_alone if i == u_i
@@ -383,17 +388,12 @@ def _introduce_states(
             for i in range(k)
         )
         for ci, combo in enumerate(itertools.product(*image_lists)):
-            counter[0] += 1
-            if counter[0] > ctx.caps.tw_states:
-                raise CapExceeded(
-                    f"introduce node candidate count exceeded {ctx.caps.tw_states}"
-                )
-            new_cost = sum(c for _img, c in combo)
-            if child_cost + new_cost + czb > ctx.zeta:
+            _count(ctx, counter, "introduce")
+            moves = ckey.moves + sum(c for _img, c in combo)
+            if moves > ctx.zeta:
                 continue
-            p_map = {e: img for e, (img, _c) in zip(new_edges, combo)}
-            for e in edges_child:
-                p_map[e] = ckey.p[old_pos[e]]
+            p_map = dict(zip(edges_child, ckey.p))
+            p_map.update((e, img) for e, (img, _c) in zip(new_edges, combo))
             p_s = tuple(p_map[e] for e in edges_s)
             star = stars.get(ci)
             if star is None:
@@ -413,7 +413,7 @@ def _introduce_states(
                         val = via[j] + 1
                     ci = ci * base + val
                 rbelow.append(ckey.r_below[ci])
-            state = TwState(p_s, rin_s, tuple(rbelow), czb)
+            state = TwState(p_s, rin_s, tuple(rbelow), moves)
             if state not in out:
                 out[state] = (ckey,)
     return out
@@ -423,30 +423,18 @@ def _forget_states(
     ctx: _Ctx, bag: tuple[int, ...], u: int, child_bag: tuple[int, ...],
     child_states: dict[TwState, tuple], counter: list[int],
 ) -> dict[TwState, tuple]:
-    g, horizon, inf = ctx.g, ctx.horizon, ctx.inf
+    horizon, inf = ctx.horizon, ctx.inf
     cidx = {v: i for i, v in enumerate(child_bag)}
     u_i = cidx[u]
-    edges_s = ctx.bag_edges(bag)
-    edges_child = ctx.bag_edges(child_bag)
-    child_pos = {e: i for i, e in enumerate(edges_child)}
+    kept = [i for i, e in enumerate(ctx.bag_edges(child_bag)) if u not in e]
     keep_cols = [cidx[v] for v in bag]
     base = inf + 1
     u_all = _u_enum(base, len(bag))
     scale = base ** (len(bag) - u_i)  # place value of u's digit in the child
     out: dict[TwState, tuple] = {}
     for ckey in sorted(child_states):
-        counter[0] += 1
-        if counter[0] > ctx.caps.tw_states:
-            raise CapExceeded(f"forget node candidate count exceeded {ctx.caps.tw_states}")
-        forgotten_cost = 0
-        for e in edges_child:
-            if u in e:
-                ei = g.edge_index[e]
-                forgotten_cost += minimal_moves(
-                    g.labels[ei], ckey.p[child_pos[e]], ctx.delta
-                )
-        zb = ckey.zeta_below + forgotten_cost
-        p_s = tuple(ckey.p[child_pos[e]] for e in edges_s)
+        _count(ctx, counter, "forget")
+        p_s = tuple(ckey.p[i] for i in kept)
         rin_s = tuple(
             tuple(tuple(row[c] for c in keep_cols) for row in ckey.r_in[cidx[v]])
             for v in bag
@@ -463,7 +451,7 @@ def _forget_states(
                     t2 = a
             val = ckey.r_below[_insert_digit(ui, min(t2 + 1, inf), scale, base)]
             rbelow.append(min(val + 1, ctx.h) if t2 <= horizon else val)
-        state = TwState(p_s, rin_s, tuple(rbelow), zb)
+        state = TwState(p_s, rin_s, tuple(rbelow), ckey.moves)
         if state not in out:
             out[state] = (ckey,)
     return out
@@ -522,13 +510,10 @@ def _join_states(
     out: dict[TwState, tuple] = {}
     for lkey in sorted(left):
         for rkey in by_p_right.get(lkey.p, ()):
-            counter[0] += 1
-            if counter[0] > ctx.caps.tw_states:
-                raise CapExceeded(
-                    f"join node candidate count exceeded {ctx.caps.tw_states}"
-                )
-            zb = lkey.zeta_below + rkey.zeta_below
-            if _bag_cost(ctx, edges_s, lkey.p) + zb > ctx.zeta:
+            _count(ctx, counter, "join")
+            # both sides charged the bag edges' moves
+            moves = lkey.moves + rkey.moves - _bag_cost(ctx, edges_s, lkey.p)
+            if moves > ctx.zeta:
                 continue
             rin = _join_rin(ctx, bag, lkey.r_in, rkey.r_in)
             rbelow = []
@@ -540,7 +525,7 @@ def _join_states(
                             val = rin[w_i][dw][j] + 1
                     key = key * base + val
                 rbelow.append(min(lkey.r_below[key] + rkey.r_below[key], ctx.h))
-            state = TwState(lkey.p, rin, tuple(rbelow), zb)
+            state = TwState(lkey.p, rin, tuple(rbelow), moves)
             if state not in out:
                 out[state] = (lkey, rkey)
     return out
@@ -577,23 +562,25 @@ def _side(
     c: int, parent: int, counter: list[int],
 ) -> _Node:
     """The evaluated nice subtree of decomposition node c seen from its
-    neighbour ``parent`` (-1 at the root), topped by c's bag: a leaf with c's
-    bag introduced if c has no other neighbour, else every other neighbour's
-    side reshaped to c's bag, joined in adjacency order.  Memoised in
-    ``sides`` by the link, so every source shares it."""
+    neighbour ``parent``, topped by parent's bag (by c's bag at the root,
+    parent -1): a leaf with c's bag introduced if c has no other neighbour,
+    else every other neighbour's side, joined in adjacency order; then
+    reshaped to parent's bag.  Memoised in ``sides`` by the link, so every
+    source and every orientation of parent shares it."""
     node = sides.get((c, parent))
     if node is not None:
         return node
     bag = decomp.bags[c]
     neighbours = [b if a == c else a for a, b in decomp.links if c in (a, b)]
     arms = [
-        _reshape(ctx, _side(ctx, decomp, sides, x, c, counter), bag, counter)
-        for x in neighbours if x != parent
+        _side(ctx, decomp, sides, x, c, counter) for x in neighbours if x != parent
     ] or [_reshape(ctx, _LEAF, bag, counter)]
     node = arms[0]
     for arm in arms[1:]:
         states = _join_states(ctx, node.bag, node.states, arm.states, counter)
         node = _Node(node.bag, states, (node, arm))
+    if parent >= 0:
+        node = _reshape(ctx, node, decomp.bags[parent], counter)
     sides[c, parent] = node
     return node
 
@@ -611,14 +598,12 @@ def _solve_for_source(
     accepted = next((key for key in sorted(root.states) if key.r_below[0] >= ctx.h - 1), None)
     if accepted is None:
         return None
-    images = _collect_images(ctx, root, accepted)
-    records = []
-    for e, image in sorted(images.items()):
-        ei = ctx.g.edge_index[e]
-        if image != ctx.g.labels[ei]:
-            recs = matching_records(e, ctx.g.labels[ei], image, ctx.delta)
-            records.extend(r for r in recs if r[1] != r[2])
-    return records
+    images = sorted(_collect_images(ctx, root, accepted).items())
+    labels = ctx.g.labels
+    return [
+        r for e, image in images
+        for r in matching_records(e, labels[ctx.g.edge_index[e]], image, ctx.delta)
+    ]
 
 
 def _collect_images(ctx: _Ctx, root: _Node, root_key: TwState) -> dict[Edge, tuple[int, ...]]:
@@ -631,8 +616,6 @@ def _collect_images(ctx: _Ctx, root: _Node, root_key: TwState) -> dict[Edge, tup
             assert prev is None or prev == image
             images[e] = image
         stack.extend(zip(node.children, node.states[key]))
-    for e, ts in zip(ctx.g.edges, ctx.g.labels):
-        images.setdefault(e, ts)
     return images
 
 

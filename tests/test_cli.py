@@ -81,6 +81,21 @@ def test_trlp_json_mirrors_text(runner, tmp_path):
     assert obj.get("perturb", []) == perturbs
 
 
+def test_reach_json_keeps_every_arrival(runner, tmp_path):
+    gpath = write(tmp_path, "g.tg", PATH_TG)
+    for source in range(3):
+        args = ["reach", "-g", gpath, "--source", str(source)]
+        txt = runner.invoke(main, args)
+        js = runner.invoke(main, args + ["--json"])
+        assert js.exit_code == txt.exit_code == 0
+        arrivals = [
+            [int(v), a if a == "inf" else int(a)]
+            for key, v, a in (l.split() for l in txt.output.splitlines() if l.startswith("ARRIVAL "))
+        ]
+        assert len(arrivals) == 3
+        assert json.loads(js.output)["arrival"] == arrivals
+
+
 def test_trp_command(runner, tmp_path):
     gpath = write(tmp_path, "g.tg", PATH_TG)
     res = runner.invoke(main, ["trp", "-g", gpath, "--delta", "1", "--h", "3"])
@@ -166,6 +181,22 @@ def test_gen_sat_and_oracle_agreement(runner, tmp_path):
     assert res.exit_code == 0
     text = open(out).read()
     assert "variant shortest" in text and "k 4" in text
+
+
+def test_gen_sat_tsep_reads_clauses_across_lines(runner, tmp_path):
+    # the clauses (1 2 -1) and (-2), split across lines and one clause a line
+    split = write(tmp_path, "split.cnf", "p cnf 2 2\n1 2\n-1 0\n-2 0\n")
+    plain = write(tmp_path, "plain.cnf", "p cnf 2 2\n1 2 -1 0\n-2 0\n")
+    a = runner.invoke(main, ["gen", "sat-tsep", "-f", split])
+    b = runner.invoke(main, ["gen", "sat-tsep", "-f", plain])
+    assert a.exit_code == b.exit_code == 0
+    assert a.output == b.output
+    one_line = write(tmp_path, "line.cnf", "p cnf 2 2\n1 0 -2 0\n")
+    two_lines = write(tmp_path, "lines.cnf", "p cnf 2 2\n1 0\n-2 0\n")
+    c = runner.invoke(main, ["gen", "sat-tsep", "-f", one_line])
+    d = runner.invoke(main, ["gen", "sat-tsep", "-f", two_lines])
+    assert c.exit_code == d.exit_code == 0
+    assert c.output == d.output
 
 
 @pytest.mark.parametrize(

@@ -242,3 +242,11 @@ def test_random_treewidth2_profile_width():
 def test_dimacs_roundtrip():
     f = CnfFormula(3, ((1, -2), (3,), (-1, -3)))
     assert parse_dimacs(serialize_dimacs(f)) == f
+
+
+def test_dimacs_clauses_end_at_zero_not_at_line_end():
+    # a clause may span lines, and one line may hold several clauses
+    assert parse_dimacs("p cnf 2 2\n1 2\n-1 0\n-2 0\n") == CnfFormula(2, ((1, 2, -1), (-2,)))
+    assert parse_dimacs("p cnf 2 2\n1 0 -2 0\n") == CnfFormula(2, ((1,), (-2,)))
+    # a last clause without its 0 still counts
+    assert parse_dimacs("p cnf 2 2\n1 0\n-2\n") == CnfFormula(2, ((1,), (-2,)))

@@ -6,7 +6,13 @@ import pytest
 from temporeach.limits import CapExceeded, WorkCaps
 from temporeach.reach import arrivals
 from temporeach.solvers import TrlpInstance, solve_trlp_xp
-from temporeach.tgraph import TemporalGraph, apply_perturbation, parse_graph, validate_relabelling
+from temporeach.tgraph import (
+    TemporalGraph,
+    apply_perturbation,
+    minimal_moves,
+    parse_graph,
+    validate_relabelling,
+)
 from temporeach.testkit import oracle_trlp_max_reach, random_instance
 from temporeach.treedp import solve_trlp_tree_all_sources
 from temporeach import twdp
@@ -18,6 +24,7 @@ from temporeach.twdp import (
     _insert_digit,
     _join_rin,
     _Node,
+    _collect_images,
     _reshape,
     _side,
     _u_enum,
@@ -170,7 +177,7 @@ def test_leaf_state_shape():
     for leaf in leaves:
         assert len(leaf.states) == 1
         (s,) = leaf.states
-        assert s.p == () and s.r_in == () and s.r_below == (0,) and s.zeta_below == 0
+        assert s.p == () and s.r_in == () and s.r_below == (0,) and s.moves == 0
 
 
 def test_introduce_isolated_vertex_rows():
@@ -323,19 +330,19 @@ def test_h1_trivial_yes():
 def test_treewidth_cap_bounds_whole_call():
     # ζ=0 on the all-ones C4 is a no, so every source runs; the sources share
     # the sides they have in common and each evaluated node counts once:
-    # source 0 alone needs 12 candidates and the whole call 32 (rebuilding
-    # every source's decomposition needed 55)
+    # source 0 alone needs 12 candidates and the whole call 30
     inst = TrlpInstance(C4, 1, 0, 4)
     d = decompose_exact_small(4, C4.edges)
     with pytest.raises(CapExceeded):
         solve_trlp_treewidth(inst, d, caps=WorkCaps(tw_states=20))
-    assert not solve_trlp_treewidth(inst, d, caps=WorkCaps(tw_states=32)).answer
+    assert not solve_trlp_treewidth(inst, d, caps=WorkCaps(tw_states=30)).answer
 
 
 def test_sources_share_sides(monkeypatch):
     # on a no-instance every source runs, yet each side (c, parent) of the
-    # decomposition is evaluated once: the rule calls are at most the sides'
-    # own nodes plus one forget chain per source
+    # decomposition is evaluated once, its reshape to parent's bag included:
+    # the rule calls are at most the sides' own nodes plus one forget chain
+    # per source
     calls = [0]
 
     def counted(rule):
@@ -361,13 +368,39 @@ def test_sources_share_sides(monkeypatch):
         stack.extend((x, c) for x in neighbours[c] if x != parent)
 
     def own_nodes(c, parent):
-        arms = [x for x in neighbours[c] if x != parent]
-        if not arms:
-            return len(bags[c])  # introduces above the leaf
-        return sum(len(bags[x] ^ bags[c]) for x in arms) + len(arms) - 1
+        arms = sum(1 for x in neighbours[c] if x != parent)
+        # introduces above the leaf, or the joins of the arms
+        below = arms - 1 if arms else len(bags[c])
+        return below + (len(bags[c] ^ bags[parent]) if parent >= 0 else 0)
 
     bound = sum(own_nodes(c, p) for c, p in sides) + sum(len(bags[r]) - 1 for r in roots)
+    assert bound == 33
     assert calls[0] <= bound, (calls[0], bound)
+
+
+def test_root_moves_charge_every_edge_once():
+    # moves are charged once per edge, at its introduce node: an accepted root
+    # state's moves equal the minimal moves of the images its witnesses pick
+    checked, moved = 0, 0
+    for inst in micro_tw_instances(12):
+        g = inst.graph
+        d = decompose_exact_small(g.n, g.edges)
+        ctx = _Ctx(inst, WorkCaps())
+        for source in range(g.n):
+            root = nice_root(ctx, d, source)
+            for state in root.states:
+                if state.r_below[0] < inst.h - 1:
+                    continue
+                images = _collect_images(ctx, root, state)
+                assert sorted(images) == sorted(g.edges)
+                want = sum(
+                    minimal_moves(g.labels[g.edge_index[e]], image, inst.delta)
+                    for e, image in images.items()
+                )
+                assert state.moves == want <= inst.zeta, (inst, source, state.p)
+                checked += 1
+                moved += want > 0
+    assert checked > 100 and moved > 50, (checked, moved)
 
 
 def compressed_micro_instances(count, seed=7):
