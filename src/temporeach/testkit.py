@@ -7,15 +7,20 @@ non-identity target inside its ±delta window that keeps the edge's labels
 pairwise distinct.  Enumeration order is (moved-set size, lexicographic moved
 set, lexicographic targets); the first accepted perturbation is the witness.
 
-Per moved-set size s, the scan walks the appearances depth first, trying
-"move this one" before "keep it": that visits the moved sets in the
-lexicographic order of ``itertools.combinations``.  A subtree may be skipped
-only when a relaxation covering it already fails the test.  In a relaxation,
-the appearances chosen so far, and the undecided ones while fewer than s are
-chosen, are active across their whole ±delta window; every other appearance
-keeps its label.  Every concrete completion in the subtree uses a subset of
-that relaxation's time-edges, and more time-edges never hurt reachability or
-eccentricity, so none of them can pass.
+The scan keeps one label array, one entry per edge, and one mode per
+appearance of the scanned edges: at its label, active across its whole
+±delta window, or moved to a target.  Per moved-set size s, it walks the
+appearances depth first, trying "move this one" before "keep it": that visits
+the moved sets in the lexicographic order of ``itertools.combinations``.
+Each step changes one appearance's mode and re-sorts only that edge's labels;
+backtracking changes it back.  A subtree may be skipped only when a
+relaxation covering it already fails the test.  In a relaxation, the
+appearances chosen so far, and the undecided ones while fewer than s are
+chosen, are windowed; every other appearance keeps its label.  Every concrete
+completion in the subtree uses a subset of that relaxation's time-edges, and
+more time-edges never hurt reachability or eccentricity, so none of them can
+pass.  Each graph the test sees is an immutable snapshot of the array that
+shares the input graph's edges, edge index and adjacency.
 """
 
 from __future__ import annotations
@@ -24,13 +29,13 @@ import itertools
 import random
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import ecc as eccmod
 from .limits import CapExceeded, WorkCaps, DEFAULT_CAPS
 from .reach import reach_counts, reach_set
 from .solvers import SolveResult, TrlpInstance
-from .tgraph import Edge, Perturbation, TemporalGraph
+from .tgraph import Edge, Perturbation, PerturbationError, TemporalGraph, apply_perturbation
 
 
 @dataclass(frozen=True)
@@ -145,10 +150,18 @@ def enumeration_size(num_time_edges: int, delta: int, zeta: int) -> int:
     )
 
 
-def _eset_indices(g: TemporalGraph, eset: Optional[Iterable[Edge]]) -> list[int]:
+def _appearances(g: TemporalGraph, eset: Optional[Iterable[Edge]]) -> list[tuple[int, int]]:
+    """(edge index, label) of every appearance of the edges in ``eset`` (all
+    edges if None), sorted; an edge not in ``g`` raises ValueError."""
     if eset is None:
-        return list(range(len(g.edges)))
-    return sorted(g.edge_index[e] for e in set(eset))
+        eidx: Iterable[int] = range(len(g.edges))
+    else:
+        wanted = set(eset)
+        missing = sorted(wanted - g.edge_index.keys())
+        if missing:
+            raise ValueError(f"edge {missing[0]} is not in the graph")
+        eidx = sorted(g.edge_index[e] for e in wanted)
+    return [(ei, t) for ei in eidx for t in g.labels[ei]]
 
 
 def scan_perturbations(
@@ -172,99 +185,75 @@ def scan_perturbations(
     assignment with the remainder still windowed.  It must be monotone in
     time-edges, i.e. returning False must imply that every completion below
     also fails.
+
+    Each graph handed to ``keep`` or ``on_complete`` is an immutable snapshot
+    of the scan's label array, which the caller may keep.
     """
-    eidx = _eset_indices(g, eset)
-    apps = [(ei, t) for ei in eidx for t in g.labels[ei]]
-    chosen: list[tuple[int, int]] = []
-
-    def choose(start: int, size: int) -> bool:
-        need = size - len(chosen)
-        if need == 0:
-            return _expand_moved_set(g, delta, zeta, chosen, keep, on_complete)
-        for i in range(start, len(apps) - need + 1):
-            # apps[start:i] are left out; with exactly `need` left, the one
-            # moved set below makes this same check itself
-            if i > start and keep is not None and len(apps) - i > need:
-                if not keep(_relaxation(g, delta, chosen + apps[i:])):
-                    return False
-            chosen.append(apps[i])
-            stop = choose(i + 1, size)
-            chosen.pop()
-            if stop:
-                return True
-        return False
-
-    return any(choose(0, size) for size in range(min(zeta, len(apps)) + 1))
-
-
-def _relaxation(
-    g: TemporalGraph, delta: int, windowed: Iterable[tuple[int, int]]
-) -> TemporalGraph:
-    """``g`` with every appearance in ``windowed`` active across its window."""
-    acc: dict[int, set[int]] = {}
-    for ei, t in windowed:
-        labels = acc.get(ei)
-        if labels is None:
-            labels = acc[ei] = set(g.labels[ei])
-        labels.update(_window(t, delta))
-    return g.with_labels({g.edges[ei]: labels for ei, labels in acc.items()})
-
-
-def _expand_moved_set(g, delta, zeta, moved, keep, on_complete) -> bool:
-    by_edge: dict[int, list[int]] = {}
-    for ei, t in moved:
-        by_edge.setdefault(ei, []).append(t)
-    base: dict[int, set[int]] = {
-        ei: set(g.labels[ei]) - set(olds) for ei, olds in by_edge.items()
+    apps = _appearances(g, eset)
+    windows = [_window(t, delta) for _ei, t in apps]
+    # what each appearance adds to its edge: (label,), its window range, or
+    # (target,); all start at their label, as in g.labels
+    slots: list = [(t,) for _ei, t in apps]
+    edge_slots = {  # an edge's appearances are adjacent in apps
+        ei: slice(a, a + len(g.labels[ei]))
+        for a, (ei, t) in enumerate(apps) if t == g.labels[ei][0]
     }
-    appearances = list(moved)
-
-    def labels_for(assigned: dict[int, list[int]], windowed_from: int) -> dict[Edge, set[int]]:
-        acc: dict[int, set[int]] = {ei: set(s) for ei, s in base.items()}
-        for ei, ts in assigned.items():
-            acc[ei].update(ts)
-        for ei, t in appearances[windowed_from:]:
-            acc[ei].update(_window(t, delta))
-        return {g.edges[ei]: s for ei, s in acc.items()}
-
-    if keep is not None and appearances:
-        if not keep(_relaxation(g, delta, appearances)):
-            return False
-
-    assigned: dict[int, list[int]] = {}
+    labels = list(g.labels)
     chosen: list[int] = []
 
-    def rec(i: int) -> bool:
-        if i == len(appearances):
-            records = tuple(
-                sorted(
-                    (g.edges[ei], old, new)
-                    for (ei, old), new in zip(appearances, chosen)
-                )
-            )
-            p = Perturbation(delta, zeta, records)
-            pg = g.with_labels(labels_for(assigned, len(appearances)))
-            return on_complete(p, pg)
-        ei, old = appearances[i]
-        taken = assigned.setdefault(ei, [])
-        for target in _window(old, delta):
-            if target == old:
-                continue
-            if target in base[ei] or target in taken:
-                continue
-            taken.append(target)
-            chosen.append(target)
-            ok = True
-            if keep is not None and i + 1 < len(appearances):
-                ok = keep(g.with_labels(labels_for(assigned, i + 1)))
-            stop = ok and rec(i + 1)
-            taken.pop()
+    def put(a: int, slot) -> None:
+        slots[a] = slot
+        ei = apps[a][0]
+        labels[ei] = tuple(sorted(set().union(*slots[edge_slots[ei]])))
+
+    def view() -> TemporalGraph:
+        return g._relabelled(tuple(labels))
+
+    def choose(start: int, need: int) -> bool:
+        # chosen appearances and apps[start:] are windowed, the rest at their label
+        if need == 0:
+            for a in range(start, len(apps)):
+                put(a, (apps[a][1],))
+            stop = (keep is None or not chosen or keep(view())) and assign(0)
+            for a in range(start, len(apps)):
+                put(a, windows[a])
+            return stop
+        for i in range(start, len(apps) - need + 1):
+            if i > start:
+                put(i - 1, (apps[i - 1][1],))
+                # with exactly `need` left, the one moved set below makes this
+                # same check itself
+                if keep is not None and len(apps) - i > need and not keep(view()):
+                    break
+            chosen.append(i)
+            stop = choose(i + 1, need - 1)
             chosen.pop()
             if stop:
                 return True
+        for a in range(start, i):  # the ones left out; the loop ran at least once
+            put(a, windows[a])
         return False
 
-    return rec(0)
+    def assign(j: int) -> bool:
+        if j == len(chosen):
+            records = tuple((g.edges[apps[a][0]], apps[a][1], slots[a][0]) for a in chosen)
+            return on_complete(Perturbation(delta, zeta, records), view())
+        a = chosen[j]
+        ei, old = apps[a]
+        # labels this edge keeps and targets already given on it; the
+        # appearances still to be assigned are windowed
+        taken = {s[0] for s in slots[edge_slots[ei]] if type(s) is tuple}
+        for target in windows[a]:
+            if target == old or target in taken:
+                continue
+            put(a, (target,))
+            if (keep is None or j + 1 == len(chosen) or keep(view())) and assign(j + 1):
+                return True
+        put(a, windows[a])
+        return False
+
+    # size 0 leaves every appearance windowed, as the larger sizes expect
+    return any(choose(0, size) for size in range(min(zeta, len(apps)) + 1))
 
 
 def enumerate_perturbations(
@@ -272,21 +261,24 @@ def enumerate_perturbations(
     delta: int,
     zeta: int,
     eset: Optional[Iterable[Edge]] = None,
-) -> Iterable[tuple[Perturbation, TemporalGraph]]:
-    """Unpruned generator over the whole space, in the documented order."""
-    out: list[tuple[Perturbation, TemporalGraph]] = []
-
-    def collect(p: Perturbation, pg: TemporalGraph) -> bool:
-        out.append((p, pg))
-        return False
-
-    eidx = _eset_indices(g, eset)
-    time_edges = [(ei, t) for ei in eidx for t in g.labels[ei]]
-    for size in range(min(zeta, len(time_edges)) + 1):
-        for moved in itertools.combinations(time_edges, size):
-            out.clear()
-            _expand_moved_set(g, delta, zeta, moved, None, collect)
-            yield from out
+) -> Iterator[tuple[Perturbation, TemporalGraph]]:
+    """Unpruned reference generator over the whole space, in the documented
+    order, built independently of the scan: every moved set from
+    ``itertools.combinations``, every target tuple from ``itertools.product``
+    and every graph from ``apply_perturbation``, which refuses the tuples that
+    give an edge the same label twice."""
+    apps = _appearances(g, eset)
+    for size in range(min(zeta, len(apps)) + 1):
+        for moved in itertools.combinations(apps, size):
+            options = [[t for t in _window(old, delta) if t != old] for _ei, old in moved]
+            for targets in itertools.product(*options):
+                records = [(g.edges[ei], old, new) for (ei, old), new in zip(moved, targets)]
+                p = Perturbation(delta, zeta, tuple(records))
+                try:
+                    pg = apply_perturbation(g, p)
+                except PerturbationError:
+                    continue
+                yield p, pg
 
 
 def _scan_sources(g: TemporalGraph, h: int) -> tuple[Optional[int], int]:

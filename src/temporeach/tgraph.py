@@ -118,10 +118,15 @@ class TemporalGraph:
             if not ts or ts[0] < 1 or len(set(ts)) < len(ts):
                 raise ValueError(f"edge {e}: labels {ts} must be distinct, >= 1 and non-empty")
             labels[i] = ts
+        return self._relabelled(tuple(labels))
+
+    def _relabelled(self, labels: tuple[tuple[int, ...], ...]) -> "TemporalGraph":
+        """This graph's edges, edge_index and adjacency holding ``labels``,
+        which are not checked."""
         copy = object.__new__(TemporalGraph)
         copy.__dict__.update(
-            n=self.n, edges=self.edges, labels=tuple(labels),
-            edge_index=index, adjacency=self.adjacency,
+            n=self.n, edges=self.edges, labels=labels,
+            edge_index=self.edge_index, adjacency=self.adjacency,
         )
         return copy
 

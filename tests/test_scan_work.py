@@ -1,0 +1,102 @@
+"""Pins the work of ``testkit.scan_perturbations``: per case, the number of
+``keep`` and ``on_complete`` calls and a sha256 over the (kind, labels,
+result) call log.  A change to the scan's visit order, its pruning or the
+graphs it hands out changes these.
+
+``scan_work.json`` holds the pinned values.  It was written by running this
+file as a script (``PYTHONPATH=src python tests/test_scan_work.py``) before
+the scan moved to a per-edge label array; rerun it only for a change that is
+meant to alter the scan's work, and say so.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+from temporeach import testkit
+from temporeach.testkit import (
+    PROFILES,
+    CnfFormula,
+    oracle_ecc,
+    oracle_ecc_min,
+    oracle_trlp,
+    oracle_trlp_max_reach,
+    random_instance,
+    sat_to_tfaep,
+    sat_to_tsep,
+)
+from temporeach.solvers import TrlpInstance
+
+PINNED = Path(__file__).with_name("scan_work.json")
+
+
+def logged(run) -> list:
+    """(keeps, completes, sha256 hex of the call log) of the scans ``run`` makes."""
+    original = testkit.scan_perturbations
+    digest = hashlib.sha256()
+    calls = {"keep": 0, "complete": 0}
+
+    def log(kind, graph, result):
+        calls[kind] += 1
+        digest.update(repr((kind, graph.labels, result)).encode() + b"\n")
+        return result
+
+    def scan(g, delta, zeta, *, keep=None, on_complete, **kwargs):
+        logged_keep = None if keep is None else lambda relaxed: log("keep", relaxed, keep(relaxed))
+        return original(
+            g, delta, zeta, keep=logged_keep,
+            on_complete=lambda p, pg: log("complete", pg, on_complete(p, pg)),
+            **kwargs,
+        )
+
+    testkit.scan_perturbations = scan
+    try:
+        run()
+    finally:
+        testkit.scan_perturbations = original
+    return [calls["keep"], calls["complete"], digest.hexdigest()]
+
+
+def random_case(seed: int, profile: str):
+    inst = random_instance(seed, profile)
+    g, delta, zeta = inst.graph, inst.delta, max(inst.zeta, 2)
+
+    def run():
+        oracle_trlp(TrlpInstance(g, delta, zeta, inst.h))
+        oracle_trlp_max_reach(g, delta, zeta)
+        for variant in ("shortest", "fastest"):
+            oracle_ecc_min(g, 0, delta, zeta, variant)
+
+    return run
+
+
+GADGETS = {
+    "tsep-sat": sat_to_tsep(CnfFormula(2, ((1,), (-2,))), 4, 1),
+    "tsep-unsat": sat_to_tsep(CnfFormula(1, ((1,), (1,), (-1,))), 4, 1),
+    "tfaep-sat": sat_to_tfaep(CnfFormula(2, ((1, 2), (1, -2), (-1, 2))), 2, 1),
+    "tfaep-unsat": sat_to_tfaep(CnfFormula(1, ((1,), (-1,))), 2, 1),
+}
+
+
+def measure_all() -> dict:
+    out = {
+        f"{seed}-{profile}": logged(random_case(seed, profile))
+        for seed in range(60)
+        for profile in PROFILES
+    }
+    for name, inst in GADGETS.items():
+        out[name] = logged(lambda: oracle_ecc(inst))
+    return out
+
+
+def test_scan_work_is_pinned():
+    want = json.loads(PINNED.read_text())
+    got = measure_all()
+    assert got.keys() == want.keys()
+    wrong = [(case, want[case], got[case]) for case in want if got[case] != want[case]]
+    assert not wrong, wrong[:3]
+
+
+if __name__ == "__main__":
+    rows = (f"{json.dumps(case)}: {json.dumps(work)}" for case, work in measure_all().items())
+    PINNED.write_text("{\n" + ",\n".join(rows) + "\n}\n")

@@ -8,6 +8,7 @@ from temporeach.reach import arrivals, reach_set
 from temporeach.solvers import TrlpInstance
 from temporeach.tgraph import TemporalGraph, apply_perturbation, parse_graph
 from temporeach.testkit import (
+    PROFILES,
     CnfFormula,
     StaticGraph,
     brute_domset,
@@ -22,6 +23,7 @@ from temporeach.testkit import (
     random_instance,
     sat_to_tfaep,
     sat_to_tsep,
+    scan_perturbations,
 )
 
 
@@ -70,6 +72,59 @@ def test_enumeration_counts_each_assignment_once():
     records = [p.records for p, _ in enumerate_perturbations(g, 1, 1)]
     assert len(records) == len(set(records))
     assert records[0] == ()  # identity first
+
+
+@pytest.mark.parametrize("restricted", [False, True])
+def test_unpruned_scan_equals_enumeration(restricted):
+    """Without ``keep`` the scan completes the same perturbations, with the
+    same graphs and in the same order, as the independent enumeration."""
+    for seed in range(60):
+        for profile in PROFILES:
+            inst = random_instance(seed, profile)
+            g, delta, zeta = inst.graph, inst.delta, max(inst.zeta, 2)
+            eset = g.edges[seed % 2::2] if restricted else None
+            got = []
+
+            def collect(p, pg):
+                got.append((p.records, pg.labels))
+                return False
+
+            scan_perturbations(g, delta, zeta, eset=eset, on_complete=collect)
+            want = [(p.records, pg.labels) for p, pg in enumerate_perturbations(g, delta, zeta, eset)]
+            assert got == want, (seed, profile)
+
+
+def test_scan_graphs_are_snapshots():
+    """Every graph the scan hands out keeps its labels after the scan moves on."""
+    seen = [0, 0]
+    for seed in range(60):
+        for profile in PROFILES:
+            inst = random_instance(seed, profile)
+            g, delta, zeta = inst.graph, inst.delta, max(inst.zeta, 2)
+            kept, completed = [], []
+
+            def keep(relaxed):
+                kept.append((relaxed, [tuple(ts) for ts in relaxed.labels]))
+                return len(kept) % 3 != 0  # prune now and then, to backtrack early
+
+            def record(p, pg):
+                completed.append((p, pg))
+                return False
+
+            scan_perturbations(g, delta, zeta, keep=keep, on_complete=record)
+            assert all(list(relaxed.labels) == labels for relaxed, labels in kept)
+            assert all(apply_perturbation(g, p) == pg for p, pg in completed)
+            seen[0] += len(kept)
+            seen[1] += len(completed)
+    assert min(seen) > 1000
+
+
+def test_scan_refuses_edge_outside_graph():
+    g = parse_graph("n 3\ne 0 1 2\ne 1 2 1 3")
+    with pytest.raises(ValueError, match=r"edge \(0, 2\) is not in the graph"):
+        list(enumerate_perturbations(g, 1, 1, eset=[(0, 2)]))
+    with pytest.raises(ValueError, match=r"edge \(0, 2\) is not in the graph"):
+        scan_perturbations(g, 1, 1, eset=[(1, 2), (0, 2)], on_complete=lambda p, pg: False)
 
 
 def test_scan_first_witness_follows_enumeration_order():
