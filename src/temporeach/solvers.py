@@ -22,7 +22,7 @@ from typing import Iterator, Optional
 
 from .limits import CapExceeded, WorkCaps, DEFAULT_CAPS
 from .reach import ALL_EDGES, ForemostTree, explore, reach_counts, reach_set
-from .tgraph import Perturbation, TemporalGraph, apply_perturbation
+from .tgraph import Perturbation, TemporalGraph, _is_tree, apply_perturbation
 
 
 # ``auto`` runs the treewidth DP only on decompositions up to this width
@@ -224,23 +224,6 @@ def solve_trlp_big_zeta(inst: TrlpInstance) -> SolveResult:
     return SolveResult(True, "bigzeta", source=src, reach_count=count, perturbation=cert)
 
 
-def _is_tree(g: TemporalGraph) -> bool:
-    if len(g.edges) != g.n - 1:
-        return False
-    seen = [False] * g.n
-    stack = [0]
-    seen[0] = True
-    found = 1
-    while stack:
-        v = stack.pop()
-        for w, _ in g.adjacency[v]:
-            if not seen[w]:
-                seen[w] = True
-                found += 1
-                stack.append(w)
-    return found == g.n
-
-
 def _obs1_result(inst: TrlpInstance) -> SolveResult:
     g = inst.graph
     deg = [len(a) for a in g.adjacency]
@@ -269,8 +252,8 @@ def solve_trlp(
         return _obs1_result(inst)
     if inst.zeta >= inst.h - 1:
         return solve_trlp_big_zeta(inst)
-    if _is_tree(g):
-        return treedp.solve_trlp_tree_all_sources(inst)
+    if _is_tree(g.n, g.edges):
+        return treedp.solve_trlp_tree(inst)
     decomp = decomposition
     if decomp is None and g.n <= 20:
         decomp = twdp.decompose_exact_small(g.n, g.edges)
@@ -302,7 +285,7 @@ def _run_strategy(inst, strategy, decomposition, caps) -> SolveResult:
     if strategy == "bigzeta":
         return solve_trlp_big_zeta(inst)
     if strategy == "tree":
-        return treedp.solve_trlp_tree_all_sources(inst)
+        return treedp.solve_trlp_tree(inst)
     if strategy == "treewidth":
         decomp = decomposition
         if decomp is None:

@@ -230,22 +230,19 @@ def serialize_graph(g: TemporalGraph) -> str:
 
 
 def parse_perturbation(text: str | bytes) -> Perturbation:
-    delta: Optional[int] = None
-    zeta: Optional[int] = None
+    header: dict[str, int] = {}
     records: list[tuple[Edge, int, int]] = []
     for line_no, parts in _parse_lines(text):
         kind = parts[0]
         if kind in ("delta", "zeta"):
+            if kind in header:
+                raise FormatError(line_no, f"repeated '{kind}' line")
             if len(parts) != 2:
                 raise FormatError(line_no, f"'{kind}' line needs exactly one value")
             try:
-                val = int(parts[1])
+                header[kind] = int(parts[1])
             except ValueError:
                 raise FormatError(line_no, f"bad {kind} value") from None
-            if kind == "delta":
-                delta = val
-            else:
-                zeta = val
         elif kind == "p":
             if len(parts) != 5:
                 raise FormatError(line_no, "'p' line needs u v old new")
@@ -258,9 +255,9 @@ def parse_perturbation(text: str | bytes) -> Perturbation:
             records.append(((u, v), old, new))
         else:
             raise FormatError(line_no, f"unknown line kind {kind!r}")
-    if delta is None or zeta is None:
+    if len(header) != 2:
         raise FormatError(0, "missing delta/zeta header")
-    return Perturbation(delta, zeta, tuple(sorted(records)))
+    return Perturbation(header["delta"], header["zeta"], tuple(sorted(records)))
 
 
 def serialize_perturbation(p: Perturbation) -> str:
@@ -311,6 +308,24 @@ def apply_perturbation(g: TemporalGraph, p: Perturbation) -> TemporalGraph:
         for e, m in moves.items()
     }
     return g.with_labels(new_labels)
+
+
+def _is_tree(n: int, pairs: tuple[Edge, ...]) -> bool:
+    """Whether ``pairs`` are the edges of one tree spanning vertices 0..n-1."""
+    if len(pairs) != n - 1:
+        return False
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for a, b in pairs:
+        adj[a].append(b)
+        adj[b].append(a)
+    seen = {0}
+    stack = [0]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == n
 
 
 def compress_time(g: TemporalGraph, delta: int) -> tuple[TemporalGraph, dict[int, int]]:

@@ -11,16 +11,19 @@ spend one re-timing to use vc at the earliest reachable t2 < t1 and continue
 at t2+1 under budget w-1.  Budget 0 without t1 skips c.  ``_merge`` splits
 each total budget across the children's rows to maximise the summed gain.
 
-The DP runs on ``compress_time``'s copy of the graph, so its time axis has
+``solve_trlp_tree`` is the one entry point.  It answers for every source,
+the first yes in ascending source id winning, and compresses time once:
+the DP runs on ``compress_time``'s copy of the graph, so its time axis has
 horizon <= (distinct labels) * (2*delta+1) + delta whatever the size of the
-labels; the certificate is mapped back and checked on the original graph.
+labels, and the certificate is mapped back and checked on the original graph.
 
 A vertex's table depends on the root only through its parent p: its subtree
 is its component of T - p, its children are its neighbours other than p in
 adjacency order, and delta, zeta, h and the compressed graph are the same for
-every source.  So tables are keyed by the directed edge (v, p), with p = -1
-at the root, and ``solve_trlp_tree_all_sources`` shares them over all sources:
-it builds at most 2(n-1) + n tables instead of one per vertex and source.
+every source.  So one dict memoises the tables by the directed edge (v, p),
+with p = -1 at the root, and every source shares it: a call builds at most
+2(n-1) + n tables.  ``_table`` builds a missing table and every missing one
+below it; ``_reconstruct`` walks the same keys down from the source.
 """
 
 from __future__ import annotations
@@ -29,10 +32,13 @@ from dataclasses import replace
 from typing import Optional
 
 from .solvers import SolveResult, TrlpInstance, _certified_yes, _nearest_origin_label
-from .tgraph import TemporalGraph, compress_time, next_expanded_after, next_label_after
+from .tgraph import TemporalGraph, _is_tree, compress_time, next_expanded_after, next_label_after
 
 # (gain, edge time or None when the child is skipped, moved)
 _Option = tuple[int, Optional[int], bool]
+
+# v's value[z][t] table in the tree hanging from its parent, keyed (v, parent)
+_Tables = dict[tuple[int, int], list[list[int]]]
 
 
 def _merge(rows: list[list[_Option]], cap: int) -> tuple[list[int], list[list[int]]]:
@@ -54,32 +60,6 @@ def _merge(rows: list[list[_Option]], cap: int) -> tuple[list[int], list[list[in
         totals = nxt
         picks.append(pick)
     return totals, picks
-
-
-def _tree_order(
-    g: TemporalGraph, source: int
-) -> tuple[list[int], list[list[int]], list[int]]:
-    """(postorder, children lists, parents) of the tree rooted at source."""
-    if len(g.edges) != g.n - 1:
-        raise ValueError("underlying graph is not a connected tree")
-    children: list[list[int]] = [[] for _ in range(g.n)]
-    parent = [-1] * g.n
-    seen = [False] * g.n
-    seen[source] = True
-    order = []
-    stack = [source]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        for w, _ in g.adjacency[v]:
-            if not seen[w]:
-                seen[w] = True
-                children[v].append(w)
-                parent[w] = v
-                stack.append(w)
-    if len(order) != g.n:
-        raise ValueError("underlying graph is not a connected tree")
-    return list(reversed(order)), children, parent
 
 
 def _child_row(
@@ -105,85 +85,79 @@ def _child_row(
     return row
 
 
-def _value_tables(
-    inst: TrlpInstance, source: int, tables: Optional[dict] = None
-) -> tuple[list, list, list]:
-    """Per-vertex value[z][t] tables (r capped at h), postorder, children.
-    ``tables`` maps (v, parent or -1) to v's table: tables found there are
-    reused and tables built are added, so sources of one instance share them."""
+def _table(inst: TrlpInstance, tables: _Tables, v: int, parent: int) -> list[list[int]]:
+    """v's value[z][t] table (r capped at h) below ``parent`` (-1 at the
+    root), built into ``tables`` with every missing table under it."""
     g, zeta, delta, h = inst.graph, inst.zeta, inst.delta, inst.h
     horizon = g.lifetime + delta
-    post, children, parent = _tree_order(g, source)
-    tables = {} if tables is None else tables
-    value: list = [None] * g.n
-    for v in post:
-        key = (v, parent[v])
-        if key in tables:
-            value[v] = tables[key]
+    stack = [(v, parent)]
+    while stack:
+        u, p = stack[-1]
+        children = [c for c, _ in g.adjacency[u] if c != p]
+        missing = [(c, u) for c in children if (c, u) not in tables]
+        if missing:
+            stack.extend(missing)
             continue
+        stack.pop()
         table = [[0] * (horizon + 2) for _ in range(zeta + 1)]
         for z in range(zeta + 1):
             table[z][horizon + 1] = 1
         for t in range(horizon + 1):
-            rows = [_child_row(g, v, c, t, zeta, delta, value[c]) for c in children[v]]
+            rows = [_child_row(g, u, c, t, zeta, delta, tables[(c, u)]) for c in children]
             totals, _picks = _merge(rows, zeta)
             for z in range(zeta + 1):
                 table[z][t] = min(1 + totals[z], h)
-        value[v] = tables[key] = table
-    return value, post, children
+        tables[(u, p)] = table
+    return tables[(v, parent)]
 
 
 def _reconstruct(
-    inst: TrlpInstance, value: list, children: list, v: int, z: int, t: int,
-    records: list,
-) -> None:
+    inst: TrlpInstance, tables: _Tables, v: int, parent: int, z: int, t: int
+) -> list:
+    """Records of a perturbation inside v's subtree below ``parent`` that
+    realises table[z][t]: v reaches that many vertices departing at >= t."""
     g, delta, zeta = inst.graph, inst.delta, inst.zeta
-    if t > g.lifetime + delta or not children[v]:
-        return
-    rows = [_child_row(g, v, c, t, zeta, delta, value[c]) for c in children[v]]
-    _totals, picks = _merge(rows, zeta)
-    w = z
-    for i in range(len(rows) - 1, -1, -1):
-        b = picks[i][w]
-        w -= b
-        _gain, edge_time, moved = rows[i][b]
-        if edge_time is None:
+    records = []
+    stack = [(v, parent, z, t)]
+    while stack:
+        v, parent, z, t = stack.pop()
+        children = [c for c, _ in g.adjacency[v] if c != parent]
+        if t > g.lifetime + delta or not children:
             continue
-        c = children[v][i]
-        if moved:
-            t0 = _nearest_origin_label(g.edge_labels(v, c), edge_time, delta)
-            records.append(((v, c) if v < c else (c, v), t0, edge_time))
-        _reconstruct(
-            inst, value, children, c, b - 1 if moved else b, edge_time + 1, records
-        )
+        rows = [_child_row(g, v, c, t, zeta, delta, tables[(c, v)]) for c in children]
+        _totals, picks = _merge(rows, zeta)
+        w = z
+        for i in range(len(rows) - 1, -1, -1):
+            b = picks[i][w]
+            w -= b
+            _gain, edge_time, moved = rows[i][b]
+            if edge_time is None:
+                continue
+            c = children[i]
+            if moved:
+                t0 = _nearest_origin_label(g.edge_labels(v, c), edge_time, delta)
+                records.append(((v, c) if v < c else (c, v), t0, edge_time))
+            stack.append((c, v, b - 1 if moved else b, edge_time + 1))
+    return records
 
 
-def solve_trlp_tree(
-    inst: TrlpInstance, source: int, *, tables: Optional[dict] = None
-) -> SolveResult:
-    """Exact answer for one source on a tree-shaped instance; calls on one
-    instance may share ``tables`` (see ``_value_tables``)."""
+def solve_trlp_tree(inst: TrlpInstance) -> SolveResult:
+    """Exact answer on a tree-shaped instance: the smallest source that
+    reaches h wins; on a no, reach_count is the best over every source."""
+    if not _is_tree(inst.graph.n, inst.graph.edges):
+        raise ValueError("underlying graph is not a connected tree")
     g, shift = compress_time(inst.graph, inst.delta)
     small = replace(inst, graph=g)
-    value, _post, children = _value_tables(small, source, tables)
-    score = value[source][inst.zeta][0]
-    if score < inst.h:
-        return SolveResult(False, "tree", source=source, reach_count=score)
-    records: list = []
-    # rebuild from the smallest budget that reaches h, so no move is spent
-    # that the answer does not need
-    z = next(z for z, row in enumerate(value[source]) if row[0] >= inst.h)
-    _reconstruct(small, value, children, source, z, 0, records)
-    return _certified_yes(inst, "tree", source, records, shift)
-
-
-def solve_trlp_tree_all_sources(inst: TrlpInstance) -> SolveResult:
-    """First-yes over sources in ascending id order, sharing subtree tables."""
+    tables: _Tables = {}
     best = 0
-    tables: dict = {}
-    for source in range(inst.graph.n):
-        res = solve_trlp_tree(inst, source, tables=tables)
-        if res.answer:
-            return res
-        best = max(best, res.reach_count)
+    for source in range(g.n):
+        value = _table(small, tables, source, -1)
+        score = value[inst.zeta][0]
+        if score >= inst.h:
+            # rebuild from the smallest budget that reaches h, so no move is
+            # spent that the answer does not need
+            z = next(z for z, row in enumerate(value) if row[0] >= inst.h)
+            records = _reconstruct(small, tables, source, -1, z, 0)
+            return _certified_yes(inst, "tree", source, records, shift)
+        best = max(best, score)
     return SolveResult(False, "tree", reach_count=best)

@@ -59,7 +59,7 @@ from typing import Iterable, NamedTuple, Optional
 
 from .limits import CapExceeded, WorkCaps, DEFAULT_CAPS
 from .solvers import SolveResult, TrlpInstance, _certified_yes
-from .tgraph import Edge, _parse_lines, compress_time, matching_records, minimal_moves
+from .tgraph import Edge, _is_tree, _parse_lines, compress_time, matching_records, minimal_moves
 
 
 class DecompositionError(ValueError):
@@ -90,22 +90,7 @@ def validate_decomposition(
             raise DecompositionError(f"link ({a},{b}) references a missing node")
     if len(decomp.links) != k - 1:
         raise DecompositionError("decomposition links do not form a tree")
-    adj: list[list[int]] = [[] for _ in range(k)]
-    for a, b in decomp.links:
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = [False] * k
-    stack = [0]
-    seen[0] = True
-    cnt = 1
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if not seen[y]:
-                seen[y] = True
-                cnt += 1
-                stack.append(y)
-    if cnt != k:
+    if not _is_tree(k, decomp.links):
         raise DecompositionError("decomposition links do not form a tree (disconnected)")
     covered = set().union(*decomp.bags) if decomp.bags else set()
     for v in range(n):
@@ -461,9 +446,7 @@ def join_rounds(bag_size: int) -> int:
     return ceil(log2(bag_size)) if bag_size > 1 else 0
 
 
-def _join_rin(
-    ctx: _Ctx, bag: tuple[int, ...], r1, r2, rounds: Optional[int] = None
-):
+def _join_rin(ctx: _Ctx, bag: tuple[int, ...], r1, r2):
     """Arrival rows of the union of two subgraphs that meet only in the bag
     (a join's two sides, or an introduce node's child and star).  A foremost
     path splits at bag vertices into at most k - 1 one-sided segments, and
@@ -474,8 +457,7 @@ def _join_rin(
         [tuple(min(a, b) for a, b in zip(r1[i][t], r2[i][t])) for t in range(horizon + 1)]
         for i in range(k)
     ]
-    steps = join_rounds(k) if rounds is None else rounds
-    for _ in range(steps):
+    for _ in range(join_rounds(k)):
         nxt = []
         for i in range(k):
             per_t = []

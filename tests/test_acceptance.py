@@ -41,7 +41,7 @@ from temporeach.testkit import (
     sat_to_tsep,
     scan_perturbations,
 )
-from temporeach.treedp import solve_trlp_tree_all_sources
+from temporeach.treedp import solve_trlp_tree
 from temporeach.twdp import decompose_exact_small, solve_trlp_treewidth
 
 from test_solvers import explore_with_perturbable_set
@@ -269,7 +269,7 @@ def test_acceptance_5_tree_dp():
         best = oracle_trlp_max_reach(g, delta, zeta)
         for h in range(1, g.n + 1):
             inst = TrlpInstance(g, delta, zeta, h)
-            res = solve_trlp_tree_all_sources(inst)
+            res = solve_trlp_tree(inst)
             assert res.answer == (h <= best), (g, delta, zeta, h, best)
             if res.answer:
                 pg = apply_perturbation(g, res.perturbation)
@@ -324,7 +324,7 @@ def test_acceptance_6_treewidth_dp():
             res = solve_trlp_treewidth(inst, decomp)
             assert res.answer == (h <= best), (g, zeta, h, best)
             if is_tree:
-                tree_res = solve_trlp_tree_all_sources(inst)
+                tree_res = solve_trlp_tree(inst)
                 assert tree_res.answer == res.answer, (g, zeta, h)
             if res.answer:
                 pg = apply_perturbation(g, res.perturbation)

@@ -144,6 +144,15 @@ def test_verify_rejects_bad_certificate(runner, tmp_path):
     assert "INVALID" in res2.output
 
 
+def test_verify_refuses_repeated_delta(runner, tmp_path):
+    # the moves are checked under one declared delta, not the last of two
+    gpath = write(tmp_path, "g.tg", PATH_TG)
+    ppath = write(tmp_path, "p.txt", "delta 1\nzeta 2\ndelta 5\np 0 1 2 1\n")
+    res = runner.invoke(main, ["verify", "-g", gpath, "-p", ppath, "--source", "0", "--h", "3"])
+    assert res.exit_code == 2, res.output
+    assert res.output == "REFUSED line 3: repeated 'delta' line\n"
+
+
 def test_ecc_command_both_exits(runner, tmp_path):
     gpath = write(tmp_path, "g.tg", PATH_TG)
     yes = runner.invoke(

@@ -243,6 +243,20 @@ def test_perturbation_file_roundtrip():
     assert "delta 2" in text and "zeta 3" in text
 
 
+@pytest.mark.parametrize(
+    "text, line_no, kind",
+    [
+        ("delta 1\nzeta 2\ndelta 5\np 0 1 3 4\n", 3, "delta"),
+        ("zeta 2\ndelta 1\nzeta 0\n", 3, "zeta"),
+    ],
+)
+def test_perturbation_rejects_repeated_header(text, line_no, kind):
+    with pytest.raises(FormatError) as exc:
+        parse_perturbation(text)
+    assert exc.value.line_no == line_no
+    assert str(exc.value) == f"line {line_no}: repeated '{kind}' line"
+
+
 def test_compress_time_identity_and_ranks():
     g = parse_graph("n 4\ne 0 1 1 4\ne 1 2 2 7\ne 2 3 4 9\n")
     # distinct labels 1 2 4 7 9: no gap (from 0 on) is wider than 3 = 2*1+1

@@ -8,15 +8,15 @@ from hypothesis import strategies as st
 from temporeach.reach import arrivals
 from temporeach.solvers import TrlpInstance
 from temporeach import treedp
-from temporeach.tgraph import TemporalGraph, apply_perturbation, compress_time, parse_graph
-from temporeach.testkit import oracle_trlp_max_reach, random_instance
-from temporeach.treedp import (
-    _merge,
-    _reconstruct,
-    _value_tables,
-    solve_trlp_tree,
-    solve_trlp_tree_all_sources,
+from temporeach.tgraph import (
+    Perturbation,
+    TemporalGraph,
+    apply_perturbation,
+    compress_time,
+    parse_graph,
 )
+from temporeach.testkit import oracle_trlp_max_reach, random_instance
+from temporeach.treedp import _merge, _reconstruct, _table, solve_trlp_tree
 
 
 # --- max-plus merge of child rows -----------------------------------------------
@@ -73,31 +73,40 @@ def random_tree_instances(count, seed0=0):
     return [random_instance(seed0 + i, "tree") for i in range(count)]
 
 
+def all_tables(inst):
+    # every source's root table and every table below it, in one memo
+    tables = {}
+    for source in range(inst.graph.n):
+        _table(inst, tables, source, -1)
+    return tables
+
+
 def test_tree_example_star_no_budget():
     star = parse_graph("n 5\ne 0 1 1\ne 0 2 1\ne 0 3 1\ne 0 4 1")
-    res = solve_trlp_tree(TrlpInstance(star, 1, 0, 5), 0)
-    assert res.answer and res.perturbation.perturbed_count == 0
+    res = solve_trlp_tree(TrlpInstance(star, 1, 0, 5))
+    assert res.answer and res.source == 0 and res.perturbation.perturbed_count == 0
 
 
 def test_tree_example_strictness_blocks():
     g = parse_graph("n 4\ne 0 1 1\ne 1 2 1\ne 2 3 1")
-    res = solve_trlp_tree_all_sources(TrlpInstance(g, 0, 3, 4))
+    res = solve_trlp_tree(TrlpInstance(g, 0, 3, 4))
     assert not res.answer
 
 
 def test_tree_path_per_source():
     g = parse_graph("n 3\ne 0 1 2\ne 1 2 1")
     inst = TrlpInstance(g, 1, 1, 3)
-    assert not solve_trlp_tree(inst, 0).answer  # only source 1 works here
-    assert solve_trlp_tree(inst, 1).answer
-    allres = solve_trlp_tree_all_sources(inst)
-    assert allres.answer and allres.source == 1
+    tables = {}
+    assert _table(inst, tables, 0, -1)[1][0] < 3  # only source 1 works here
+    assert _table(inst, tables, 1, -1)[1][0] == 3
+    res = solve_trlp_tree(inst)
+    assert res.answer and res.source == 1 and res.reach_count == 3
 
 
 def test_tree_certificate_uses_fewest_moves():
     # source 0 reaches 0, 1, 2 with no move, so the certificate must move nothing
     g = parse_graph("n 6\ne 0 1 4 20\ne 1 2 3\ne 1 3 21\ne 3 4 20\ne 4 5 9 40")
-    res = solve_trlp_tree_all_sources(TrlpInstance(g, 1, 2, 3))
+    res = solve_trlp_tree(TrlpInstance(g, 1, 2, 3))
     assert res.answer and res.source == 0
     assert res.perturbation.moved_records() == ()
     assert res.reach_count == 3
@@ -105,27 +114,26 @@ def test_tree_certificate_uses_fewest_moves():
 
 def test_tree_rejects_non_tree():
     g = parse_graph("n 3\ne 0 1 1\ne 0 2 1\ne 1 2 1")
-    with pytest.raises(ValueError):
-        solve_trlp_tree(TrlpInstance(g, 1, 1, 3), 0)
     g2 = TemporalGraph(4, ((0, 1), (2, 3)), ((1,), (1,)))
-    with pytest.raises(ValueError):
-        solve_trlp_tree(TrlpInstance(g2, 1, 1, 2), 0)
+    g3 = TemporalGraph(4, ((0, 1), (0, 2), (1, 2)), ((1,), (1,), (1,)))  # n - 1 edges
+    for bad, h in ((g, 3), (g2, 2), (g3, 2)):
+        with pytest.raises(ValueError, match="^underlying graph is not a connected tree$"):
+            solve_trlp_tree(TrlpInstance(bad, 1, 1, h))
 
 
 def test_tree_state_monotonicity_and_maximality():
     inst = random_instance(3, "tree")
     g = inst.graph
     horizon = g.lifetime + inst.delta
-    for source in range(g.n):
-        value, _post, _children = _value_tables(inst, source)
-        for v in range(g.n):
-            table = value[v]
-            for z in range(inst.zeta + 1):
-                for t in range(horizon):
-                    assert table[z][t] >= table[z][t + 1]
-                if z < inst.zeta:
-                    for t in range(horizon + 1):
-                        assert table[z + 1][t] >= table[z][t]
+    tables = all_tables(inst)
+    assert len(tables) == 3 * g.n - 2
+    for table in tables.values():
+        for z in range(inst.zeta + 1):
+            for t in range(horizon):
+                assert table[z][t] >= table[z][t + 1]
+            if z < inst.zeta:
+                for t in range(horizon + 1):
+                    assert table[z + 1][t] >= table[z][t]
 
 
 def seeded_tree(rng, n, max_labels, offset):
@@ -145,13 +153,13 @@ def test_shared_tables_equal_fresh_per_source():
         delta = rng.randint(0, 2)
         small, _shift = compress_time(g, delta)
         inst = TrlpInstance(small, delta, rng.randint(0, 3), rng.randint(1, g.n))
-        tables = {}
+        tables = all_tables(inst)
+        # one root table per source and one per directed edge
+        assert len(tables) == 3 * g.n - 2
         for source in range(g.n):
-            shared, _post, children = _value_tables(inst, source, tables)
-            fresh, _post, fresh_children = _value_tables(inst, source)
-            assert shared == fresh
-            assert children == fresh_children
-        assert len(tables) <= 3 * g.n - 2
+            fresh = {}
+            _table(inst, fresh, source, -1)
+            assert all(tables[key] == table for key, table in fresh.items())
 
 
 def test_all_sources_builds_each_subtree_table_once(monkeypatch):
@@ -168,28 +176,39 @@ def test_all_sources_builds_each_subtree_table_once(monkeypatch):
         return real(rows, cap)
 
     monkeypatch.setattr(treedp, "_merge", counting)
-    res = solve_trlp_tree_all_sources(inst)
+    res = solve_trlp_tree(inst)
     assert not res.answer
     horizon = compress_time(g, inst.delta)[0].lifetime + inst.delta
     assert calls <= (3 * g.n - 2) * (horizon + 2)
 
 
-def subtree_vertices(g, source, v):
-    # vertices of v's subtree when the tree is rooted at source
-    parent = {source: None}
-    order = [source]
-    stack = [source]
+def test_all_sources_compress_time_once(monkeypatch):
+    # a "no" on a 10-vertex path tries every source
+    g = parse_graph("n 10\n" + "".join(f"e {v} {v + 1} 5\n" for v in range(9)))
+    calls = 0
+    real = treedp.compress_time
+
+    def counting(graph, delta):
+        nonlocal calls
+        calls += 1
+        return real(graph, delta)
+
+    monkeypatch.setattr(treedp, "compress_time", counting)
+    res = solve_trlp_tree(TrlpInstance(g, 1, 1, g.n))
+    assert not res.answer and res.reach_count < g.n
+    assert calls == 1
+
+
+def subtree_vertices(g, v, parent):
+    # v's component of the tree without parent (the whole tree for -1)
+    sub = {v}
+    stack = [v]
     while stack:
         x = stack.pop()
         for w, _ in g.adjacency[x]:
-            if w not in parent:
-                parent[w] = x
-                order.append(w)
+            if w != parent and w not in sub:
+                sub.add(w)
                 stack.append(w)
-    sub = {v}
-    for x in order:
-        if parent[x] in sub:
-            sub.add(x)
     return sub
 
 
@@ -199,30 +218,22 @@ def test_tree_state_witness_soundness():
         inst = random_instance(seed, "tree")
         g = inst.graph
         horizon = g.lifetime + inst.delta
-        for source in range(g.n):
-            value, _post, children = _value_tables(inst, source)
-            for v in range(g.n):
-                sub = subtree_vertices(g, source, v)
-                sub_edges = {
-                    e for e in g.edges if e[0] in sub and e[1] in sub
-                }
-                restricted = TemporalGraph(
-                    g.n,
-                    tuple(sorted(sub_edges)),
-                    tuple(g.labels[g.edge_index[e]] for e in sorted(sub_edges)),
-                )
-                for z in range(inst.zeta + 1):
-                    for t in (0, horizon // 2, horizon):
-                        records = []
-                        _reconstruct(inst, value, children, v, z, t, records)
-                        from temporeach.tgraph import Perturbation
-
-                        p = Perturbation(inst.delta, inst.zeta, tuple(sorted(records)))
-                        pg = apply_perturbation(restricted, p)
-                        count = sum(
-                            1 for a in arrivals(pg, v, min_departure=t) if a is not None
-                        )
-                        assert count >= value[v][z][t]
+        tables = all_tables(inst)
+        for (v, parent), table in tables.items():
+            sub = subtree_vertices(g, v, parent)
+            sub_edges = sorted(e for e in g.edges if e[0] in sub and e[1] in sub)
+            restricted = TemporalGraph(
+                g.n, tuple(sub_edges), tuple(g.labels[g.edge_index[e]] for e in sub_edges)
+            )
+            for z in range(inst.zeta + 1):
+                for t in (0, horizon // 2, horizon):
+                    records = _reconstruct(inst, tables, v, parent, z, t)
+                    p = Perturbation(inst.delta, inst.zeta, tuple(records))
+                    pg = apply_perturbation(restricted, p)
+                    count = sum(
+                        1 for a in arrivals(pg, v, min_departure=t) if a is not None
+                    )
+                    assert count >= table[z][t]
 
 
 def test_tree_matches_oracle_sweep():
@@ -232,7 +243,7 @@ def test_tree_matches_oracle_sweep():
         best = oracle_trlp_max_reach(g, inst.delta, inst.zeta)
         for h in range(1, g.n + 1):
             probe = TrlpInstance(g, inst.delta, inst.zeta, h)
-            res = solve_trlp_tree_all_sources(probe)
+            res = solve_trlp_tree(probe)
             assert res.answer == (h <= best), (seed, h, best)
             if res.answer:
                 pg = apply_perturbation(g, res.perturbation)

@@ -14,7 +14,7 @@ from temporeach.tgraph import (
     validate_relabelling,
 )
 from temporeach.testkit import oracle_trlp_max_reach, random_instance
-from temporeach.treedp import solve_trlp_tree_all_sources
+from temporeach.treedp import solve_trlp_tree
 from temporeach import twdp
 from temporeach.twdp import (
     _LEAF,
@@ -77,10 +77,18 @@ def test_validate_rejects_bad_decompositions():
                 ((0, 1), (1, 2)),
             ),
         )
-    with pytest.raises(DecompositionError, match="tree"):
-        validate_decomposition(
-            3, edges, TreeDecomposition((frozenset({0, 1, 2}), frozenset({1, 2})), ())
-        )
+    # too few links, then k - 1 links of which three close a cycle
+    too_few = TreeDecomposition((frozenset({0, 1, 2}), frozenset({1, 2})), ())
+    cyclic = TreeDecomposition(
+        (frozenset({0, 1, 2}),) * 3 + (frozenset({2}),), ((0, 1), (1, 2), (2, 0))
+    )
+    for decomp, message in (
+        (too_few, "decomposition links do not form a tree"),
+        (cyclic, "decomposition links do not form a tree (disconnected)"),
+    ):
+        with pytest.raises(DecompositionError) as exc:
+            validate_decomposition(3, edges, decomp)
+        assert str(exc.value) == message
 
 
 def serialize_decomposition(decomp: TreeDecomposition) -> str:
@@ -234,7 +242,7 @@ def test_forget_child_index_inserts_u_digit():
                         assert _insert_digit(index, digit, scale, base) == want
 
 
-def test_join_fixpoint():
+def test_join_fixpoint(monkeypatch):
     g = C4
     inst = TrlpInstance(g, 1, 2, 4)
     ctx = _Ctx(inst, WorkCaps())
@@ -257,8 +265,9 @@ def test_join_fixpoint():
     r1 = mkrow([[None, 1, inf], [inf, None, 1], [inf, inf, None]])
     r2 = mkrow([[None, inf, inf], [1, None, inf], [inf, 1, None]])
     k = join_rounds(len(bag))
-    a = _join_rin(ctx, bag, r1, r2, rounds=k)
-    b = _join_rin(ctx, bag, r1, r2, rounds=k + 1)
+    a = _join_rin(ctx, bag, r1, r2)
+    monkeypatch.setattr(twdp, "join_rounds", lambda bag_size: k + 1)
+    b = _join_rin(ctx, bag, r1, r2)
     assert a == b
 
 
@@ -300,7 +309,7 @@ def test_treewidth_agrees_with_tree_dp():
         inst = TrlpInstance(g, 1, min(base.zeta, 2), min(base.h, g.n))
         d = decompose_exact_small(g.n, g.edges)
         a = solve_trlp_treewidth(inst, d)
-        b = solve_trlp_tree_all_sources(inst)
+        b = solve_trlp_tree(inst)
         assert a.answer == b.answer
 
 
@@ -442,7 +451,7 @@ def test_compressed_dps_match_xp():
         g = inst.graph
         want = solve_trlp_xp(inst).answer
         if len(g.edges) == g.n - 1:
-            got = solve_trlp_tree_all_sources(inst)
+            got = solve_trlp_tree(inst)
         else:
             got = solve_trlp_treewidth(inst, decompose_exact_small(g.n, g.edges))
         assert got.answer == want, inst
