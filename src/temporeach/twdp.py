@@ -19,9 +19,9 @@ its neighbour ``parent``, topped by parent's bag: a leaf with c's bag
 introduced, or the other neighbours' sides, joined in adjacency order, then
 reshaped to parent's bag (``_reshape``: forgets, then introduces).  A side
 depends only on its link, so one call memoises it by (c, parent) and every
-source shares it, each arm reshaped once; a source reshapes the side of the
-first bag holding it, with parent -1 and so topped by that bag, down to
-{source}.
+source shares it, each arm reshaped once; a source forgets the side of the
+first bag holding it (parent -1) down to {source}, and sources rooted there
+share those forgets, memoised by (that bag, the forget's bag).
 
 A join node stitches its two sides' arrival functions (``_join_rin``): the
 sides meet only in the bag, so a foremost path alternates between them at bag
@@ -33,10 +33,13 @@ made earlier by what u reaches from its own departure time.
 
 A departure vector gives each bag column a time in 0..horizon, or horizon+1
 for "does not depart".  The counts are a flat tuple indexed by the vector's
-base-(horizon+2) value, first column most significant (``_u_enum`` order), so
-a node finds a child's entry by arithmetic: Horner's rule over the child's
-columns for introduce and join, and one inserted digit for forget
-(``_insert_digit``).
+base-(horizon+2) value, first column most significant.  The child entry a
+vector reads depends only on arrival rows, not on the child's counts: the
+stitched rows at a join, u's row at an introduce, the u column of the kept
+rows at a forget.  So a rule call builds each index map once per distinct
+rows (``_index_map``: per vector, the elementwise minimum of its columns'
+offers, as prefix minima in table order; a forget inserts u's digit with
+``_insert_digit``), and every count table is one ``itemgetter`` gather.
 
 The DP runs on ``compress_time``'s copy of the graph, so departure and
 arrival times range over 0..horizon with horizon <= (distinct labels) *
@@ -53,9 +56,10 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cache
 from math import ceil, log2
-from typing import Iterable, NamedTuple, Optional
+from operator import add, itemgetter
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .limits import CapExceeded, WorkCaps, DEFAULT_CAPS
 from .solvers import SolveResult, TrlpInstance, _certified_yes
@@ -293,11 +297,49 @@ class _Ctx:
         return out
 
 
-@lru_cache(maxsize=64)
-def _u_enum(base: int, size: int) -> tuple[tuple[int, ...], ...]:
-    """Departure vectors over 0..base-1 in table order: a vector's index is
-    its base-``base`` value, first column most significant."""
-    return tuple(itertools.product(range(base), repeat=size))
+def _index_map(ctx: _Ctx, columns: list, width: int, terms: Optional[list] = None) -> list:
+    """Per departure vector in table order, the sum over j of ``terms[j][key[j]]``
+    (by default the key's table index), the key being the elementwise minimum
+    of its columns' offers: ``(own, reach)`` departing at d offers d at entry
+    ``own`` and one more than ``reach[d]`` if d is a departure time.  Prefix
+    minima run over all columns but the last, read through the terms as rows."""
+    base = ctx.inf + 1
+    if terms is None:
+        terms = [[x * base ** (width - 1 - j) for x in range(base + 1)] for j in range(width)]
+    neutral = (base,) * width
+    # a leading one-offer column changes no order and gives a bag with no
+    # columns its one vector
+    offers = [[neutral]]
+    for own, reach in columns:
+        offers.append([])
+        for d in range(base):
+            offer = list(neutral) if reach is None or d == base - 1 else [a + 1 for a in reach[d]]
+            if own is not None:
+                offer[own] = min(offer[own], d)
+            offers[-1].append(offer)
+    *head, last = offers
+    keys = [neutral]
+    for column in head:
+        keys = [tuple(map(min, key, offer)) for key in keys for offer in column]
+    # rows[j][x]: entry j's term per last departure, the prefix holding x
+    rows = [
+        list(zip(*(term[:o] + [term[o]] * (base + 1 - o) for o in (off[j] for off in last))))
+        for j, term in enumerate(terms)
+    ]
+    out: list[int] = []
+    for key in keys:
+        row = [0] * len(last)
+        for j, x in enumerate(key):
+            row = map(add, row, rows[j][x])
+        out.extend(row)
+    return out
+
+
+def _gather(index: list[int]) -> Callable[[tuple], tuple]:
+    """One ``itemgetter`` reading a table at ``index``, into a tuple even for
+    the one-entry table of an empty bag."""
+    get = itemgetter(*index)
+    return get if len(index) > 1 else lambda table: (get(table),)
 
 
 def _insert_digit(index: int, digit: int, scale: int, base: int) -> int:
@@ -306,10 +348,6 @@ def _insert_digit(index: int, digit: int, scale: int, base: int) -> int:
     their places and the digits above it move up one."""
     high, low = divmod(index, scale)
     return (high * base + digit) * scale + low
-
-
-def _bag_cost(ctx: _Ctx, bag_edges: tuple[Edge, ...], p: tuple) -> int:
-    return sum(ctx.images(e)[image] for e, image in zip(bag_edges, p))
 
 
 def _count(ctx: _Ctx, counter: list[int], kind: str) -> None:
@@ -353,26 +391,37 @@ def _introduce_states(
     k = len(bag)
     vidx = {v: i for i, v in enumerate(bag)}
     u_i = vidx[u]
-    child_cols = [vidx[v] for v in child_bag]
     edges_s = ctx.bag_edges(bag)
     edges_child = ctx.bag_edges(child_bag)
     new_edges = tuple(e for e in edges_s if u in e)
     new_cols = [vidx[e[0] if e[1] == u else e[1]] for e in new_edges]
     image_lists = [ctx.images(e).items() for e in new_edges]
     u_alone = tuple(tuple(t if j == u_i else inf for j in range(k)) for t in range(horizon + 1))
-    base = inf + 1
-    u_all = _u_enum(base, k)
-    stars: dict[int, tuple] = {}  # star rows by combo index, the same for every child state
-    out: dict[TwState, tuple] = {}
+    combos = list(itertools.product(*image_lists))
+    # the memos below live for this call: star rows by combo index, the same
+    # for every child state, the stitch by its inputs, the gather by u's row
+    stars = cache(lambda ci: _star_rows(ctx, k, u_i, zip(new_cols, (i for i, _c in combos[ci]))))
 
-    for ckey in sorted(child_states):
+    @cache
+    def stitch(r_in, ci):
         # the child's arrivals with u added as an isolated vertex
         child_rows = tuple(
             u_alone if i == u_i
-            else tuple(row[:u_i] + (inf,) + row[u_i:] for row in ckey.r_in[i - (i > u_i)])
+            else tuple(row[:u_i] + (inf,) + row[u_i:] for row in r_in[i - (i > u_i)])
             for i in range(k)
         )
-        for ci, combo in enumerate(itertools.product(*image_lists)):
+        return _join_rin(ctx, bag, child_rows, stars(ci))
+
+    # a child departure vector, made earlier by what u reaches from its own
+    @cache
+    def gather(u_row):
+        columns = [(i - (i > u_i), None) for i in range(k)]
+        columns[u_i] = (None, [row[:u_i] + row[u_i + 1 :] for row in u_row])
+        return _gather(_index_map(ctx, columns, k - 1))
+
+    out: dict[TwState, tuple] = {}
+    for ckey in sorted(child_states):
+        for ci, combo in enumerate(combos):
             _count(ctx, counter, "introduce")
             moves = ckey.moves + sum(c for _img, c in combo)
             if moves > ctx.zeta:
@@ -380,25 +429,8 @@ def _introduce_states(
             p_map = dict(zip(edges_child, ckey.p))
             p_map.update((e, img) for e, (img, _c) in zip(new_edges, combo))
             p_s = tuple(p_map[e] for e in edges_s)
-            star = stars.get(ci)
-            if star is None:
-                images = zip(new_cols, (img for img, _c in combo))
-                star = stars[ci] = _star_rows(ctx, k, u_i, images)
-            rin_s = _join_rin(ctx, bag, child_rows, star)
-
-            # a child departure vector, made earlier by what u reaches from du
-            rbelow = []
-            for uu in u_all:
-                du = uu[u_i]
-                via = rin_s[u_i][du] if du <= horizon else None
-                ci = 0
-                for j in child_cols:
-                    val = uu[j]
-                    if via is not None and via[j] + 1 < val:
-                        val = via[j] + 1
-                    ci = ci * base + val
-                rbelow.append(ckey.r_below[ci])
-            state = TwState(p_s, rin_s, tuple(rbelow), moves)
+            rin_s = stitch(ckey.r_in, ci)
+            state = TwState(p_s, rin_s, gather(rin_s[u_i])(ckey.r_below), moves)
             if state not in out:
                 out[state] = (ckey,)
     return out
@@ -408,35 +440,35 @@ def _forget_states(
     ctx: _Ctx, bag: tuple[int, ...], u: int, child_bag: tuple[int, ...],
     child_states: dict[TwState, tuple], counter: list[int],
 ) -> dict[TwState, tuple]:
-    horizon, inf = ctx.horizon, ctx.inf
+    inf, h = ctx.inf, ctx.h
     cidx = {v: i for i, v in enumerate(child_bag)}
     u_i = cidx[u]
     kept = [i for i, e in enumerate(ctx.bag_edges(child_bag)) if u not in e]
     keep_cols = [cidx[v] for v in bag]
     base = inf + 1
-    u_all = _u_enum(base, len(bag))
     scale = base ** (len(bag) - u_i)  # place value of u's digit in the child
+
+    # each vector's child index with u's digit 0, to which u's digit adds
+    at_zero = [_insert_digit(ui, 0, scale, base) for ui in range(base ** len(bag))]
+    u_digit = [scale * min(x, inf) for x in range(base + 1)]
+
+    @cache  # for this call, by the u columns
+    def gather(u_cols):
+        # u's key: one after the first arrival at u from the departures
+        columns = [(None, [(a,) for a in col]) for col in u_cols]
+        keys = _index_map(ctx, columns, 1, [list(range(base + 1))])
+        index = map(add, at_zero, map(u_digit.__getitem__, keys))
+        return _gather(list(index)), [int(x <= inf) for x in keys]
+
     out: dict[TwState, tuple] = {}
     for ckey in sorted(child_states):
         _count(ctx, counter, "forget")
         p_s = tuple(ckey.p[i] for i in kept)
-        rin_s = tuple(
-            tuple(tuple(row[c] for c in keep_cols) for row in ckey.r_in[cidx[v]])
-            for v in bag
-        )
-        rbelow = []
-        for ui, uu in enumerate(u_all):
-            t2 = inf
-            for j, v in enumerate(bag):
-                dv = uu[j]
-                if dv > horizon:
-                    continue
-                a = ckey.r_in[cidx[v]][dv][u_i]
-                if a < t2:
-                    t2 = a
-            val = ckey.r_below[_insert_digit(ui, min(t2 + 1, inf), scale, base)]
-            rbelow.append(min(val + 1, ctx.h) if t2 <= horizon else val)
-        state = TwState(p_s, rin_s, tuple(rbelow), ckey.moves)
+        rows = [ckey.r_in[c] for c in keep_cols]
+        rin_s = tuple(tuple(tuple(row[c] for c in keep_cols) for row in rs) for rs in rows)
+        get, reached = gather(tuple(tuple(row[u_i] for row in rs) for rs in rows))
+        rbelow = tuple(map(min, map(add, get(ckey.r_below), reached), itertools.repeat(h)))
+        state = TwState(p_s, rin_s, rbelow, ckey.moves)
         if state not in out:
             out[state] = (ckey,)
     return out
@@ -482,32 +514,28 @@ def _join_states(
     ctx: _Ctx, bag: tuple[int, ...],
     left: dict[TwState, tuple], right: dict[TwState, tuple], counter: list[int],
 ) -> dict[TwState, tuple]:
-    horizon = ctx.horizon
-    base = ctx.inf + 1
+    h, k = ctx.h, len(bag)
     edges_s = ctx.bag_edges(bag)
-    u_all = _u_enum(base, len(bag))
     by_p_right: dict[tuple, list[TwState]] = {}
     for rkey in sorted(right):
         by_p_right.setdefault(rkey.p, []).append(rkey)
+    # for this call: the stitch by the pair of r_in, the gather by the stitch,
+    # which makes a departure vector earlier by what its columns reach
+    stitch = cache(lambda r1, r2: _join_rin(ctx, bag, r1, r2))
+    gather = cache(lambda rin: _gather(_index_map(ctx, list(enumerate(rin)), k)))
     out: dict[TwState, tuple] = {}
     for lkey in sorted(left):
         for rkey in by_p_right.get(lkey.p, ()):
             _count(ctx, counter, "join")
             # both sides charged the bag edges' moves
-            moves = lkey.moves + rkey.moves - _bag_cost(ctx, edges_s, lkey.p)
+            moves = lkey.moves + rkey.moves - sum(ctx.images(e)[i] for e, i in zip(edges_s, lkey.p))
             if moves > ctx.zeta:
                 continue
-            rin = _join_rin(ctx, bag, lkey.r_in, rkey.r_in)
-            rbelow = []
-            for uu in u_all:
-                key = 0
-                for j, val in enumerate(uu):
-                    for w_i, dw in enumerate(uu):
-                        if dw <= horizon and rin[w_i][dw][j] + 1 < val:
-                            val = rin[w_i][dw][j] + 1
-                    key = key * base + val
-                rbelow.append(min(lkey.r_below[key] + rkey.r_below[key], ctx.h))
-            state = TwState(lkey.p, rin, tuple(rbelow), moves)
+            rin = stitch(lkey.r_in, rkey.r_in)
+            get = gather(rin)
+            both = map(add, get(lkey.r_below), get(rkey.r_below))
+            rbelow = tuple(map(min, both, itertools.repeat(h)))
+            state = TwState(lkey.p, rin, rbelow, moves)
             if state not in out:
                 out[state] = (lkey, rkey)
     return out
@@ -527,12 +555,16 @@ class _Node(NamedTuple):
 _LEAF = _Node((), {TwState((), (), (0,), 0): ()}, ())
 
 
+def _forget(ctx: _Ctx, node: _Node, u: int, counter: list[int]) -> _Node:
+    bag = tuple(v for v in node.bag if v != u)
+    return _Node(bag, _forget_states(ctx, bag, u, node.bag, node.states, counter), (node,))
+
+
 def _reshape(ctx: _Ctx, node: _Node, want: frozenset[int], counter: list[int]) -> _Node:
     """Forget the bag's vertices that are not in ``want``, then introduce the
     missing ones, each in sorted order."""
     for u in sorted(set(node.bag) - want):
-        bag = tuple(v for v in node.bag if v != u)
-        node = _Node(bag, _forget_states(ctx, bag, u, node.bag, node.states, counter), (node,))
+        node = _forget(ctx, node, u, counter)
     for u in sorted(want - set(node.bag)):
         bag = tuple(sorted(node.bag + (u,)))
         node = _Node(bag, _introduce_states(ctx, bag, u, node.bag, node.states, counter), (node,))
@@ -540,7 +572,7 @@ def _reshape(ctx: _Ctx, node: _Node, want: frozenset[int], counter: list[int]) -
 
 
 def _side(
-    ctx: _Ctx, decomp: TreeDecomposition, sides: dict[tuple[int, int], _Node],
+    ctx: _Ctx, decomp: TreeDecomposition, sides: dict[tuple, _Node],
     c: int, parent: int, counter: list[int],
 ) -> _Node:
     """The evaluated nice subtree of decomposition node c seen from its
@@ -568,14 +600,18 @@ def _side(
 
 
 def _solve_for_source(
-    ctx: _Ctx, decomp: TreeDecomposition, sides: dict[tuple[int, int], _Node],
+    ctx: _Ctx, decomp: TreeDecomposition, sides: dict[tuple, _Node],
     source: int, counter: list[int],
 ) -> Optional[list]:
     """Moved-appearance records of the first accepted state of the first bag
-    holding the source, reshaped to {source}; or None."""
+    holding the source, forgotten down to {source}; or None.  Each forget is
+    memoised in ``sides`` by (that bag, its result), which fixes the chain
+    before it, so sources rooted at the same bag share their first forgets."""
     root0 = next(i for i, bag in enumerate(decomp.bags) if source in bag)
-    top = _side(ctx, decomp, sides, root0, -1, counter)
-    root = _reshape(ctx, top, frozenset((source,)), counter)
+    root = _side(ctx, decomp, sides, root0, -1, counter)
+    for u in sorted(set(root.bag) - {source}):
+        key = (root0, tuple(v for v in root.bag if v != u))
+        root = sides[key] = sides.get(key) or _forget(ctx, root, u, counter)
     # the source departs at time 0
     accepted = next((key for key in sorted(root.states) if key.r_below[0] >= ctx.h - 1), None)
     if accepted is None:
@@ -613,7 +649,7 @@ def solve_trlp_treewidth(
     g, shift = compress_time(inst.graph, inst.delta)
     validate_decomposition(g.n, g.edges, decomp)
     ctx = _Ctx(replace(inst, graph=g), caps)
-    sides: dict[tuple[int, int], _Node] = {}
+    sides: dict[tuple, _Node] = {}
     counter = [0]
     for source in range(g.n):
         records = _solve_for_source(ctx, decomp, sides, source, counter)

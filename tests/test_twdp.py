@@ -27,7 +27,6 @@ from temporeach.twdp import (
     _collect_images,
     _reshape,
     _side,
-    _u_enum,
     decompose_exact_small,
     join_rounds,
     parse_decomposition,
@@ -236,7 +235,7 @@ def test_forget_child_index_inserts_u_digit():
             child_order = {vec: i for i, vec in enumerate(itertools.product(range(base), repeat=size + 1))}
             for col in range(size + 1):
                 scale = base ** (size - col)
-                for index, vec in enumerate(_u_enum(base, size)):
+                for index, vec in enumerate(itertools.product(range(base), repeat=size)):
                     for digit in range(base):
                         want = child_order[vec[:col] + (digit,) + vec[col:]]
                         assert _insert_digit(index, digit, scale, base) == want
@@ -338,20 +337,21 @@ def test_h1_trivial_yes():
 
 def test_treewidth_cap_bounds_whole_call():
     # ζ=0 on the all-ones C4 is a no, so every source runs; the sources share
-    # the sides they have in common and each evaluated node counts once:
-    # source 0 alone needs 12 candidates and the whole call 30
+    # the sides they have in common, sources 1 and 2 also the forget of 0 from
+    # their root bag {0,1,2}, and each evaluated node counts once: source 0
+    # alone needs 12 candidates and the whole call 29
     inst = TrlpInstance(C4, 1, 0, 4)
     d = decompose_exact_small(4, C4.edges)
     with pytest.raises(CapExceeded):
-        solve_trlp_treewidth(inst, d, caps=WorkCaps(tw_states=20))
-    assert not solve_trlp_treewidth(inst, d, caps=WorkCaps(tw_states=30)).answer
+        solve_trlp_treewidth(inst, d, caps=WorkCaps(tw_states=28))
+    assert not solve_trlp_treewidth(inst, d, caps=WorkCaps(tw_states=29)).answer
 
 
 def test_sources_share_sides(monkeypatch):
     # on a no-instance every source runs, yet each side (c, parent) of the
-    # decomposition is evaluated once, its reshape to parent's bag included:
-    # the rule calls are at most the sides' own nodes plus one forget chain
-    # per source
+    # decomposition is evaluated once, its reshape to parent's bag included,
+    # and so is each forget on the chains from a root bag down to {source}:
+    # the rule calls are the sides' own nodes plus those distinct forgets
     calls = [0]
 
     def counted(rule):
@@ -382,9 +382,35 @@ def test_sources_share_sides(monkeypatch):
         below = arms - 1 if arms else len(bags[c])
         return below + (len(bags[c] ^ bags[parent]) if parent >= 0 else 0)
 
-    bound = sum(own_nodes(c, p) for c, p in sides) + sum(len(bags[r]) - 1 for r in roots)
-    assert bound == 33
-    assert calls[0] <= bound, (calls[0], bound)
+    # a chain forgets in sorted order, so its bags after each forget tell it
+    chains = {
+        (r, frozenset(bags[r] - set(sorted(bags[r] - {v})[:i])))
+        for v, r in enumerate(roots)
+        for i in range(1, len(bags[r]))
+    }
+    bound = sum(own_nodes(c, p) for c, p in sides) + len(chains)
+    assert bound == 32 and len(chains) < sum(len(bags[r]) - 1 for r in roots)
+    assert calls[0] == bound, (calls[0], bound)
+
+
+def test_root_chain_forgets_run_once(monkeypatch):
+    # sources rooted at the same bag share the forgets of their chains down
+    # to {source}: on a no-instance no node is forgotten by the same vertex
+    # twice, though sources 1 and 2 of C4's root bag {0,1,2} both forget 0
+    seen = []
+    forget = twdp._forget_states
+
+    def recorded(ctx, bag, u, child_bag, child_states, counter):
+        seen.append((id(child_states), u))
+        return forget(ctx, bag, u, child_bag, child_states, counter)
+
+    monkeypatch.setattr(twdp, "_forget_states", recorded)
+    d = decompose_exact_small(4, C4.edges)
+    assert frozenset({0, 1, 2}) in d.bags
+    ctx, sides = _Ctx(TrlpInstance(C4, 1, 0, 4), WorkCaps()), {}
+    for source in range(4):
+        assert twdp._solve_for_source(ctx, d, sides, source, [0]) is None
+    assert len(seen) == len(set(seen)), seen
 
 
 def test_root_moves_charge_every_edge_once():
@@ -459,6 +485,37 @@ def test_compressed_dps_match_xp():
             pg = apply_perturbation(g, got.perturbation)
             count = sum(1 for a in arrivals(pg, got.source) if a is not None)
             assert count == got.reach_count >= inst.h
+
+
+@pytest.mark.parametrize(
+    "text, bags, links",
+    [
+        # the reshape from {2,3} to {0,1} forgets down to the empty bag
+        ("n 4\ne 0 1 3\ne 2 3 5\n", ({0, 1}, {2, 3}), ((0, 1),)),
+        # the empty bag 2 joins the two empty leaves 3 and 4
+        (
+            "n 4\ne 0 1 1 3\ne 0 3 2\ne 1 2 2\ne 2 3 1 4\n",
+            ({0, 1, 2}, {0, 2, 3}, set(), set(), set()),
+            ((0, 1), (1, 2), (2, 3), (2, 4)),
+        ),
+    ],
+    ids=["disjoint-bags", "padded-c4"],
+)
+def test_one_entry_tables_match_xp(text, bags, links):
+    # an empty bag's count table has one entry, which a forget into it and a
+    # join on it read by a gather of one index
+    g = parse_graph(text)
+    d = TreeDecomposition(tuple(frozenset(b) for b in bags), links)
+    for delta, zeta, h in itertools.product(range(3), range(3), range(1, g.n + 1)):
+        inst = TrlpInstance(g, delta, zeta, h)
+        want = solve_trlp_xp(inst)
+        got = solve_trlp_treewidth(inst, d)
+        assert (got.answer, got.source) == (want.answer, want.source), inst
+        if got.answer:
+            pg = apply_perturbation(g, got.perturbation)
+            count = sum(1 for a in arrivals(pg, got.source) if a is not None)
+            assert count == got.reach_count >= h
+            assert validate_relabelling(g, pg, delta) <= zeta
 
 
 def test_sources_rooted_apart_match_xp():
