@@ -297,15 +297,14 @@ class _Ctx:
         return out
 
 
-def _index_map(ctx: _Ctx, columns: list, width: int, terms: Optional[list] = None) -> list:
-    """Per departure vector in table order, the sum over j of ``terms[j][key[j]]``
-    (by default the key's table index), the key being the elementwise minimum
-    of its columns' offers: ``(own, reach)`` departing at d offers d at entry
-    ``own`` and one more than ``reach[d]`` if d is a departure time.  Prefix
-    minima run over all columns but the last, read through the terms as rows."""
+def _index_map(ctx: _Ctx, columns: list, width: int) -> list:
+    """Per departure vector in table order, the table index of its key: the
+    elementwise minimum of its columns' offers, ``(own, reach)`` departing at
+    d offering d at entry ``own`` and one more than ``reach[d]`` if d is a
+    departure time.  Prefix minima run over all columns but the last, which
+    is read through per-entry rows of place-value terms."""
     base = ctx.inf + 1
-    if terms is None:
-        terms = [[x * base ** (width - 1 - j) for x in range(base + 1)] for j in range(width)]
+    terms = [[x * base ** (width - 1 - j) for x in range(base + 1)] for j in range(width)]
     neutral = (base,) * width
     # a leading one-offer column changes no order and gives a bag with no
     # columns its one vector
@@ -456,7 +455,7 @@ def _forget_states(
     def gather(u_cols):
         # u's key: one after the first arrival at u from the departures
         columns = [(None, [(a,) for a in col]) for col in u_cols]
-        keys = _index_map(ctx, columns, 1, [list(range(base + 1))])
+        keys = _index_map(ctx, columns, 1)
         index = map(add, at_zero, map(u_digit.__getitem__, keys))
         return _gather(list(index)), [int(x <= inf) for x in keys]
 

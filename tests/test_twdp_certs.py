@@ -1,5 +1,5 @@
 """Pins the treewidth DP's output: per seeded width-<=2 graph with at most
-eight time-edges, under delta 0-2 and zeta 0-2, a sha256 over
+seven time-edges, under delta 0-2 and zeta 0-2, a sha256 over
 (h, answer, source, reach_count, certificate records, cap message) of
 ``solve_trlp_treewidth`` at every h.  A change to an answer, a certificate,
 a tie-break or the candidate count at which the cap refuses changes these.
