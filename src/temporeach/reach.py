@@ -8,18 +8,22 @@ in a perturbable set may use any time within ±delta of one of their labels,
 which gives the pointwise earliest arrivals over all such re-timings.
 ``foremost_tree``, ``arrivals`` and ``solvers._explore`` are views of it.
 
-Reach counts of all sources at once come from ``reach_counts``: one reverse
-sweep over the times at which some edge is active, carrying per vertex a
-bitset (a Python int) of the vertices it reaches using only the layers
-already swept.  This is the one-pass edge-stream idea of Wu et al., "Path
-problems in temporal graphs" (PVLDB 2014), made bit-parallel over sources.
+Reach counts of all sources at once come from ``_sweep``: one reverse sweep
+over the times at which some edge is active, carrying per vertex a bitset (a
+Python int) of the vertices it reaches using only the layers already swept.
+Only active times are visited, so the work does not depend on label size.
+This is the one-pass edge-stream idea of Wu et al., "Path problems in
+temporal graphs" (PVLDB 2014), made bit-parallel over sources, and in
+``SubsetSweep`` over perturbable edge subsets too, one field per subset.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Collection, Optional
+from itertools import islice
+from typing import Iterator, Optional
 
 from .tgraph import TemporalGraph, next_expanded_after, next_label_after
 
@@ -103,31 +107,86 @@ def reach_set(g: TemporalGraph, source: int) -> frozenset[int]:
     return frozenset(v for v, a in enumerate(arrivals(g, source)) if a is not None)
 
 
-def reach_counts(
-    g: TemporalGraph, delta: int = 0, widened: Optional[Collection[int]] = None
-) -> list[int]:
-    """Reach count of every source, from one reverse time sweep.
+SWEEP_BITS = 1 << 16  # bits per vertex in one chunk of a SubsetSweep
 
-    The edges whose indices are in ``widened`` (every edge when it is None)
-    are active over each label's window ``[max(1, t - delta), t + delta]``;
-    the other edges only at their labels.  ``fwd[u]`` is the set of vertices
-    u reaches by journeys using only times above the current one.  A layer
-    reads the sets as they were before it, so a journey uses at most one edge
-    per time and stays strict.  Only times at which some edge is active are
-    visited, so the work does not depend on the size of the labels."""
-    layers: dict[int, list[tuple[int, int]]] = {}
-    for i, (e, ts) in enumerate(zip(g.edges, g.labels)):
-        if delta and (widened is None or i in widened):
-            ts = {w for t in ts for w in range(max(1, t - delta), t + delta + 1)}
-        for t in ts:
-            layers.setdefault(t, []).append(e)
-    fwd = [1 << v for v in range(g.n)]
+
+def _sweep(fwd: list[int], layers: dict, masked: Optional[dict] = None) -> list[int]:
+    """Turn ``fwd[u]``, u's own bits, into the set u reaches.  ``layers`` maps a
+    time to the edges (u, v) active then, ``masked`` (some of its times) to (u,
+    v, mask) active only in mask's fields.  Each layer reads the sets as they
+    were before it, so journeys stay strict."""
     for t in sorted(layers, reverse=True):
         before = [(u, fwd[v], v, fwd[u]) for u, v in layers[t]]
+        if masked and t in masked:
+            before += [(u, fwd[v] & m, v, fwd[u] & m) for u, v, m in masked[t]]
         for u, fv, v, fu in before:
             fwd[u] |= fv
             fwd[v] |= fu
-    return [bits.bit_count() for bits in fwd]
+    return fwd
+
+
+def _window(ts: tuple[int, ...], delta: int) -> set[int]:
+    return {w for t in ts for w in range(max(1, t - delta), t + delta + 1)}
+
+
+def reach_counts(g: TemporalGraph, delta: int = 0) -> list[int]:
+    """Reach count of every source when each edge is active at its labels, or
+    over their ±delta windows (clipped at 1) when delta > 0."""
+    layers: dict[int, list[tuple[int, int]]] = {}
+    for e, ts in zip(g.edges, g.labels):
+        for t in _window(ts, delta) if delta else ts:
+            layers.setdefault(t, []).append(e)
+    return [bits.bit_count() for bits in _sweep([1 << v for v in range(g.n)], layers)]
+
+
+class SubsetSweep:
+    """Reach sets when a subset's edges may move by ±delta, for many subsets:
+    subset j of a chunk owns bits [j·width, (j+1)·width) of each set in
+    ``fwd``.  Labels act on every field, an edge's extra window times only on
+    its subsets' fields.  ``width``, a power of two >= max(n, 8), leaves a
+    field's count its top bit free."""
+
+    def __init__(self, g: TemporalGraph, delta: int):
+        self.g, self.width = g, max(8, 1 << (g.n - 1).bit_length())
+        self.extra = [_window(ts, delta).difference(ts) for ts in g.labels]
+        self.layers: dict[int, list[tuple[int, int]]] = {t: [] for ts in self.extra for t in ts}
+        for e, ts in zip(g.edges, g.labels):
+            for t in ts:
+                self.layers.setdefault(t, []).append(e)
+
+    def chunks(self, subsets: Iterator[tuple[int, ...]]) -> Iterator[list[tuple[int, ...]]]:
+        """Consecutive chunks of ``subsets`` (SWEEP_BITS per vertex, >= 1 subset), swept."""
+        while chunk := list(islice(subsets, max(1, SWEEP_BITS // self.width))):
+            w, total = self.width, len(chunk) * self.width
+            self.ones = ((1 << total) - 1) // ((1 << w) - 1)  # bit 0 of each field
+            self.top = self.ones << (w - 1)
+            self.swar = [(k, ((1 << total) - 1) // ((1 << 2 * k) - 1) * ((1 << k) - 1))
+                         for k in (1 << i for i in range(w.bit_length() - 1))]
+            starts = defaultdict(lambda: bytearray(total // 8))  # edge -> its fields' bit 0
+            for j, subset in enumerate(chunk):
+                for i in subset:
+                    starts[i][j * w // 8] = 1
+            masked: dict[int, list[tuple[int, int, int]]] = {}
+            for i, buf in starts.items():
+                sel = int.from_bytes(buf, "little")
+                mask = (sel << w) - sel  # every bit of those fields
+                for t in self.extra[i]:
+                    masked.setdefault(t, []).append((*self.g.edges[i], mask))
+            self.fwd = []  # frees the last chunk's sets first
+            self.fwd = _sweep([self.ones << v for v in range(self.g.n)], self.layers, masked)
+            yield chunk
+
+    def counts(self, v: int) -> int:
+        """Each field's reach count from v, in place of its bits: lanes of 2k
+        bits take their popcount, for k = 1, 2, 4, ..., width/2."""
+        c = self.fwd[v]
+        for k, m in self.swar:
+            c = (c + (c >> k)) & m if k > 2 else (c & m) + ((c >> k) & m)
+        return c
+
+    def at_least(self, counts: int, x: int) -> int:
+        """The top bit of each field of ``counts`` that holds x or more."""
+        return (counts + self.top - x * self.ones) & self.top
 
 
 def max_reachability(g: TemporalGraph) -> tuple[int, int]:

@@ -6,9 +6,10 @@
   smallest source attaining it, and that source's foremost-path tree is
   realised by moving one appearance per tree edge.
 * ``solve_trlp_xp``: exact bounded-count answer over every perturbable edge
-  subset of size <= zeta, one all-sources sweep per subset.  The tie-break
-  is unchanged from a per-source scan: smallest source, then its first
-  subset in lex order; one exploration of that cell gives the certificate.
+  subset of size <= zeta, one all-sources sweep per chunk of subsets, packed
+  one subset per bitset field.  The tie-break is unchanged from a per-source
+  scan: smallest source, then its first subset in lex order; one exploration
+  of that cell gives the certificate.
 * ``solve_trlp_big_zeta``: when zeta >= h-1 the bounded problem collapses to
   the unlimited one; the certificate is thinned to at most h-1 moves.
 * ``solve_trlp``: strategy dispatcher.
@@ -16,12 +17,14 @@
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
-from typing import Iterator, Optional
+from typing import Optional
 
 from .limits import CapExceeded, WorkCaps, DEFAULT_CAPS
-from .reach import ALL_EDGES, ForemostTree, explore, reach_counts, reach_set
+from .reach import ALL_EDGES, ForemostTree, SubsetSweep, explore, reach_counts, reach_set
 from .tgraph import Perturbation, TemporalGraph, _is_tree, apply_perturbation
 
 
@@ -66,15 +69,9 @@ def _explore(
 
 def _nearest_origin_label(labels: tuple[int, ...], target: int, delta: int) -> int:
     """Original appearance to move onto ``target``: nearest, ties to smaller."""
-    best = None
-    for t0 in labels:
-        if abs(t0 - target) <= delta:
-            key = (abs(t0 - target), t0)
-            if best is None or key < best:
-                best = key
-    if best is None:
-        raise AssertionError("no original label within delta of chosen time")
-    return best[1]
+    t0 = min(labels, key=lambda t: (abs(t - target), t))
+    assert abs(t0 - target) <= delta, "no original label within delta of chosen time"
+    return t0
 
 
 def _certified_yes(
@@ -96,16 +93,10 @@ def certificate_from_exploration(
     """Records realising the exploration tree: one moved appearance per tree
     edge whose chosen time is not an original label."""
     records = []
-    for v in range(g.n):
-        ei = exp.edge[v]
-        if ei is None:
-            continue
-        t_used = exp.arrival[v]
-        labels = g.labels[ei]
-        if t_used in labels:
-            continue
-        t0 = _nearest_origin_label(labels, t_used, delta)
-        records.append((g.edges[ei], t0, t_used))
+    for ei, t_used in zip(exp.edge, exp.arrival):
+        if ei is not None and t_used not in g.labels[ei]:
+            t0 = _nearest_origin_label(g.labels[ei], t_used, delta)
+            records.append((g.edges[ei], t0, t_used))
     return Perturbation(delta, zeta, tuple(sorted(records)))
 
 
@@ -133,25 +124,9 @@ def solve_trp(g: TemporalGraph, delta: int, h: int) -> SolveResult:
     return SolveResult(True, "trp", source=src, reach_count=best, perturbation=cert)
 
 
-def _lex_subsets(m: int, max_size: int) -> Iterator[tuple[int, ...]]:
-    """All subsets of range(m) of size <= max_size in prefix-lexicographic
-    order: (), (0,), (0,1), (0,1,2), ..., (0,2), ..., (1,), ..."""
-    subset: list[int] = []
-
-    def rec(start: int) -> Iterator[tuple[int, ...]]:
-        yield tuple(subset)
-        if len(subset) >= max_size:
-            return
-        for i in range(start, m):
-            subset.append(i)
-            yield from rec(i + 1)
-            subset.pop()
-
-    yield from rec(0)
-
-
 def xp_work_estimate(g: TemporalGraph, zeta: int) -> int:
-    """Subsets of size <= zeta times one all-sources sweep (time-edges + n)."""
+    """Subsets of size <= zeta times one all-sources sweep (time-edges + n): the
+    price of one sweep per subset, although a chunk of subsets shares one."""
     m = len(g.edges)
     subsets = sum(comb(m, j) for j in range(min(zeta, m) + 1))
     return subsets * (g.num_time_edges() + g.n)
@@ -161,37 +136,41 @@ def solve_trlp_xp(inst: TrlpInstance, caps: WorkCaps = DEFAULT_CAPS) -> SolveRes
     """Exact answer over every (source, perturbable subset of size <= zeta)
     cell; the first yes in (source asc, subset lex) order wins.
 
-    Each subset costs one all-sources sweep (``reach_counts`` with the subset
-    widened).  A pre-pass sweep with every edge widened bounds each source
-    from above (the exploration optimum is monotone in the perturbable set),
-    so sources below h never win.  Subsets are swept in lex order, noting for
-    each source the first subset at which it reaches h, until the smallest
-    unpruned source has won or the subsets run out.  The smallest noted source
-    and its first subset are the cell the per-source scan would stop at; one
-    ``_explore`` of that cell builds the certificate.  On a no, reach_count is
-    the best count over every source and subset: the bounded optimum."""
+    A pre-pass sweep with every edge widened bounds each source from above
+    (the exploration optimum is monotone in the perturbable set), so sources
+    below h never win.  The subsets, in prefix-lex order ((), (0,), (0,1),
+    ..., (0,2), ..., (1,), ...: Python's tuple order), are swept in packed
+    chunks (``reach.SubsetSweep``).  Per chunk, the first source below the
+    winner so far with a field count >= h wins with that field's subset; one
+    ``_explore`` of this cell builds the certificate.  On a no, reach_count
+    is the best count over every source and subset: the bounded optimum."""
     g, delta, zeta, h = inst.graph, inst.delta, inst.zeta, inst.h
     est = xp_work_estimate(g, zeta)
     if est > caps.xp_ops:
         raise CapExceeded(
             f"xp enumeration needs ~{est} sweep operations, cap is {caps.xp_ops}"
         )
-    m = len(g.edges)
     upper = reach_counts(g, delta)
-    live = [s for s in range(g.n) if upper[s] >= h]
-    first: dict[int, tuple[int, ...]] = {}
+    found: Optional[tuple[int, tuple[int, ...]]] = None
     best_count = 0
-    for subset in _lex_subsets(m, min(zeta, m)):
-        counts = reach_counts(g, delta, subset)
-        for s in live:
-            if s not in first and counts[s] >= h:
-                first[s] = subset
-        if live and live[0] in first:
+    sweep = SubsetSweep(g, delta)
+    m = len(g.edges)
+    subsets = heapq.merge(*(combinations(range(m), j) for j in range(min(zeta, m) + 1)))
+    for chunk in sweep.chunks(subsets):
+        for s in range(found[0] if found else g.n):
+            if upper[s] <= (h - 1 if found else best_count):  # can neither win nor raise the best
+                continue
+            counts = sweep.counts(s)
+            if upper[s] >= h and (hits := sweep.at_least(counts, h)):
+                found = (s, chunk[(hits & -hits).bit_length() // sweep.width - 1])
+                break
+            while sweep.at_least(counts, best_count + 1):
+                best_count += 1
+        if found and max(upper[: found[0]], default=0) < h:
             break
-        best_count = max(best_count, max(counts))
-    if first:
-        source = min(first)
-        exp = _explore(g, source, delta, frozenset(first[source]))
+    if found:
+        source, subset = found
+        exp = _explore(g, source, delta, frozenset(subset))
         cert = certificate_from_exploration(g, exp, delta, zeta)
         assert cert.perturbed_count <= zeta
         return SolveResult(

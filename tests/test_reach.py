@@ -14,6 +14,7 @@ from temporeach.reach import (
     reach_counts,
     reach_set,
 )
+from temporeach import reach
 from temporeach.cli import main
 from temporeach.solvers import ALL_EDGES, _explore
 from temporeach.tgraph import TemporalGraph, parse_graph
@@ -194,20 +195,77 @@ def seeded_micro_graph(rng: random.Random) -> TemporalGraph:
     return TemporalGraph(n, tuple(edges), labels)
 
 
-def test_reach_counts_match_single_source_exploration():
+def sweep_all(g: TemporalGraph, d: int, subsets: list) -> list:
+    """(chunk, field width, fields, packed counts, thresholds x = 1..n+1) per
+    chunk; fields[j][s] is source s's reach set under chunk[j]."""
+    sweep = reach.SubsetSweep(g, d)
+    out = []
+    for chunk in sweep.chunks(iter(subsets)):
+        fields = [[(sweep.fwd[s] >> (j * sweep.width)) & ((1 << sweep.width) - 1)
+                   for s in range(g.n)] for j in range(len(chunk))]
+        counts = [sweep.counts(s) for s in range(g.n)]
+        hits = [[sweep.at_least(c, x) for x in range(1, g.n + 2)] for c in counts]
+        out.append((chunk, sweep.width, fields, counts, hits))
+    return out
+
+
+def check_subset_sweep(g: TemporalGraph, d: int, subsets: list, capacity: int) -> None:
+    """Every field of every chunk holds its subset's reach sets, and the packed
+    counts and thresholds read them back."""
+    chunks = sweep_all(g, d, subsets)
+    assert [len(c[0]) for c in chunks] == [
+        min(capacity, len(subsets) - i) for i in range(0, len(subsets), capacity)
+    ]
+    assert [sub for c in chunks for sub in c[0]] == subsets
+    for chunk, width, fields, counts, hits in chunks:
+        for j, sub in enumerate(chunk):
+            for s in range(g.n):
+                arrival = _explore(g, s, d, frozenset(sub)).arrival
+                assert fields[j][s] == sum(1 << v for v, a in enumerate(arrival) if a is not None)
+        for s in range(g.n):
+            want = [fields[j][s].bit_count() for j in range(len(chunk))]
+            assert counts[s] == sum(c << (j * width) for j, c in enumerate(want))
+            for x, got in enumerate(hits[s], start=1):
+                top = sum(1 << (j * width + width - 1) for j, c in enumerate(want) if c >= x)
+                assert got == top, (g, d, s, x)
+
+
+def test_reach_counts_match_single_source_exploration(monkeypatch):
     # the priority-queue exploration is a different algorithm for the same
     # quantity: one source at a time, forwards in time
     rng = random.Random(2026_10)
     for _ in range(400):
         g = seeded_micro_graph(rng)
         m = len(g.edges)
-        subset = frozenset(i for i in range(m) if rng.random() < 0.4)
+        subset = tuple(i for i in range(m) if rng.random() < 0.4)
         cases = [(0, None, frozenset())]
         for d in (1, 2, 3):
-            cases += [(d, None, ALL_EDGES), (d, subset, subset)]
+            cases += [(d, None, ALL_EDGES), (d, subset, frozenset(subset))]
         for d, widened, eset in cases:
             want = [_explore(g, s, d, eset).count() for s in range(g.n)]
-            assert reach_counts(g, d, widened) == want, (g, d, widened)
+            if widened is None:
+                assert reach_counts(g, d) == want, (g, d)
+            else:
+                fields = sweep_all(g, d, [widened])[0][2]
+                assert [f.bit_count() for f in fields[0]] == want, (g, d, widened)
+    # multi-subset sweeps: chunk capacity - 1, equal and + 1 subsets, with the
+    # bit budget lowered to four fields; n straddles the field widths
+    rng = random.Random(2026_16)
+    for n in (1, 2, 5, 7, 8, 9, 16, 17, 31, 33, 64, 65):
+        for _ in range(3):
+            pairs = list(itertools.combinations(range(n), 2))
+            edges = tuple(sorted(rng.sample(pairs, min(len(pairs), n + 2))))
+            labels = tuple(tuple(sorted(rng.sample(range(1, 7), rng.randint(1, 2)))) for _ in edges)
+            g = TemporalGraph(n, edges, labels)
+            width = reach.SubsetSweep(g, 0).width
+            monkeypatch.setattr(reach, "SWEEP_BITS", 4 * width)
+            for d in (0, 1, 2):
+                for count in (3, 4, 5):
+                    sizes = [rng.randint(0, min(2, len(edges))) for _ in range(count * 3)]
+                    subsets = sorted({tuple(sorted(rng.sample(range(len(edges)), k))) for k in sizes})
+                    subsets = subsets[:count]
+                    check_subset_sweep(g, d, subsets, 4)
+            monkeypatch.undo()
 
 
 def test_large_time_labels_take_no_extra_work(tmp_path):

@@ -17,7 +17,13 @@ from temporeach.solvers import (
     xp_work_estimate,
 )
 from temporeach.tgraph import TemporalGraph, apply_perturbation, parse_graph, validate_relabelling
-from temporeach.testkit import enumerate_perturbations, oracle_trlp, oracle_trlp_max_reach
+from temporeach.testkit import (
+    PROFILES,
+    enumerate_perturbations,
+    oracle_trlp,
+    oracle_trlp_max_reach,
+    random_instance,
+)
 
 from test_tgraph import temporal_graphs
 
@@ -174,6 +180,34 @@ def test_xp_no_reports_bounded_optimum():
     res = solve_trlp_xp(TrlpInstance(g, 1, 1, 5))
     assert not res.answer
     assert res.reach_count == oracle_trlp_max_reach(g, 1, 1) == 4
+
+
+def test_xp_no_count_is_the_oracle_maximum():
+    # on the seeded micro instances whose bounded optimum is below n, XP's no
+    # at h = optimum + 1 reports that optimum
+    checked = 0
+    for profile in PROFILES:
+        for seed in range(150):
+            inst = random_instance(seed, profile)
+            g, delta, zeta = inst.graph, inst.delta, inst.zeta
+            opt = oracle_trlp_max_reach(g, delta, zeta)
+            if opt < g.n:
+                res = solve_trlp_xp(TrlpInstance(g, delta, zeta, opt + 1))
+                assert (res.answer, res.reach_count) == (False, opt), (profile, seed)
+                checked += 1
+    assert checked == 84
+
+
+def test_xp_zeta_above_edge_count_sweeps_every_subset_once():
+    # a budget beyond m allows every subset; it must not enumerate sizes that
+    # no subset has
+    g = parse_graph("n 5\ne 0 1 2\ne 1 2 3\ne 2 3 3\ne 3 4 2")
+    def outcome(zeta, h):
+        r = solve_trlp_xp(TrlpInstance(g, 1, zeta, h))
+        return r.answer, r.source, r.reach_count, r.perturbation and r.perturbation.records
+
+    for h in (4, 5):
+        assert outcome(10**12, h) == outcome(4, h)
 
 
 def test_xp_deterministic():
