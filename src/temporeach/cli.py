@@ -1,15 +1,17 @@
 """Command-line surface: solve, generate, verify, and oracle subcommands with
 line-stable machine-readable output.
 
-Exit codes: 0 = yes/valid, 1 = no/invalid, 2 = error or refusal.  Text mode
-prints fixed-order KEY value lines; ``--json`` mirrors the same fields.
+Exit codes: 0 = yes/valid, 1 = no/invalid, 2 = refusal (a REFUSED line),
+usage error or internal error (a traceback on stderr).  Text mode prints
+fixed-order KEY value lines; ``--json`` mirrors the same fields.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from typing import Optional
+import traceback
+from typing import Callable, Optional
 
 import click
 
@@ -17,7 +19,7 @@ from . import ecc as eccmod
 from . import testkit, treedp, twdp
 from .limits import CapExceeded
 from .reach import foremost_tree, max_reachability, reach_set
-from .solvers import SolveResult, TrlpInstance, solve_trlp, solve_trp
+from .solvers import STRATEGIES, SolveResult, TrlpInstance, solve_trlp, solve_trp
 from .tgraph import (
     FormatError,
     TemporalGraph,
@@ -75,11 +77,6 @@ def _result_fields(res: SolveResult) -> list[tuple[str, object]]:
     return fields
 
 
-def _finish(res: SolveResult, as_json: bool) -> None:
-    _emit(_result_fields(res), as_json)
-    sys.exit(EXIT_YES if res.answer else EXIT_NO)
-
-
 def _refuse(reason: str, as_json: bool) -> None:
     if as_json:
         click.echo(json.dumps({"refused": reason}), file=sys.stdout)
@@ -88,7 +85,29 @@ def _refuse(reason: str, as_json: bool) -> None:
     sys.exit(EXIT_ERROR)
 
 
-@click.group()
+def _answer(as_json: bool, solve: Callable[[], SolveResult]) -> None:
+    """Print ``solve()``'s result and exit with its code; a cap or an invalid
+    input refuses."""
+    try:
+        res = solve()
+    except (CapExceeded, ValueError) as exc:
+        _refuse(str(exc), as_json)
+    _emit(_result_fields(res), as_json)
+    sys.exit(EXIT_YES if res.answer else EXIT_NO)
+
+
+class _Main(click.Group):
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (click.ClickException, click.exceptions.Exit, click.Abort):
+            raise
+        except Exception:  # an internal error exits 2, never 1, the code of a "no"
+            traceback.print_exc()
+            sys.exit(EXIT_ERROR)
+
+
+@click.group(cls=_Main)
 def main() -> None:
     """Exact temporal reachability and eccentricity under timing perturbations."""
 
@@ -98,26 +117,21 @@ def main() -> None:
 @click.option("--delta", required=True, type=int)
 @click.option("--zeta", required=True, type=int)
 @click.option("--h", "h", required=True, type=int)
-@click.option(
-    "--strategy",
-    default="auto",
-    type=click.Choice(["auto", "degree", "bigzeta", "tree", "treewidth", "xp", "oracle"]),
-)
+@click.option("--strategy", default="auto", type=click.Choice(("auto", *STRATEGIES)))
 @click.option("--decomp", "decomp_path", type=_IN_FILE)
 @click.option("--json", "as_json", is_flag=True)
 def trlp(graph_path, delta, zeta, h, strategy, decomp_path, as_json) -> None:
     """Can some vertex reach at least h vertices after at most zeta moves?"""
-    try:
-        g = _load_graph(graph_path)
-        inst = TrlpInstance(g, delta, zeta, h)
+
+    def solve() -> SolveResult:
+        inst = TrlpInstance(_load_graph(graph_path), delta, zeta, h)
         decomp = None
         if decomp_path:
             with open(decomp_path, "r", encoding="utf-8") as fh:
                 decomp = twdp.parse_decomposition(fh.read())
-        res = solve_trlp(inst, strategy=strategy, decomposition=decomp)
-    except (CapExceeded, ValueError) as exc:
-        _refuse(str(exc), as_json)
-    _finish(res, as_json)
+        return solve_trlp(inst, strategy=strategy, decomposition=decomp)
+
+    _answer(as_json, solve)
 
 
 @main.command()
@@ -127,12 +141,7 @@ def trlp(graph_path, delta, zeta, h, strategy, decomp_path, as_json) -> None:
 @click.option("--json", "as_json", is_flag=True)
 def trp(graph_path, delta, h, as_json) -> None:
     """Unlimited-count variant: every appearance may move by up to delta."""
-    try:
-        g = _load_graph(graph_path)
-        res = solve_trp(g, delta, h)
-    except ValueError as exc:
-        _refuse(str(exc), as_json)
-    _finish(res, as_json)
+    _answer(as_json, lambda: solve_trp(_load_graph(graph_path), delta, h))
 
 
 @main.command()
@@ -145,13 +154,8 @@ def trp(graph_path, delta, h, as_json) -> None:
 @click.option("--json", "as_json", is_flag=True)
 def ecc(graph_path, source, variant, k, delta, zeta, as_json) -> None:
     """Can a perturbation bring the source's eccentricity down to k?"""
-    try:
-        g = _load_graph(graph_path)
-        inst = eccmod.EccInstance(g, source, k, delta, zeta, variant)
-        res = eccmod.solve_ecc_perturbed(inst)
-    except (CapExceeded, ValueError) as exc:
-        _refuse(str(exc), as_json)
-    _finish(res, as_json)
+    _answer(as_json, lambda: eccmod.solve_ecc_perturbed(
+        eccmod.EccInstance(_load_graph(graph_path), source, k, delta, zeta, variant)))
 
 
 @main.command()
@@ -162,22 +166,16 @@ def reach(graph_path, source, as_json) -> None:
     """Foremost arrivals from a source, or the best source without one."""
     try:
         g = _load_graph(graph_path)
-    except ValueError as exc:
-        _refuse(str(exc), as_json)
-    if source is None:
-        try:
+        if source is None:
             src, count = max_reachability(g)
-        except ValueError as exc:
-            _refuse(str(exc), as_json)
-        _emit([("RMAX", count), ("SOURCE", src)], as_json)
-        sys.exit(EXIT_YES)
-    try:
-        tree = foremost_tree(g, source)
+            fields: list[tuple[str, object]] = [("RMAX", count), ("SOURCE", src)]
+        else:
+            tree = foremost_tree(g, source)
+            fields = [("SOURCE", source), ("REACH", tree.count())]
+            for v, a in enumerate(tree.arrival):
+                fields.append(("ARRIVAL", [v, a if a is not None else "inf"]))
     except ValueError as exc:
         _refuse(str(exc), as_json)
-    fields: list[tuple[str, object]] = [("SOURCE", source), ("REACH", tree.count())]
-    for v, a in enumerate(tree.arrival):
-        fields.append(("ARRIVAL", [v, a if a is not None else "inf"]))
     _emit(fields, as_json)
     sys.exit(EXIT_YES)
 
@@ -341,12 +339,8 @@ def oracle() -> None:
 @click.option("--h", "h", required=True, type=int)
 @click.option("--json", "as_json", is_flag=True)
 def oracle_trlp_cmd(graph_path, delta, zeta, h, as_json) -> None:
-    try:
-        g = _load_graph(graph_path)
-        res = testkit.oracle_trlp(TrlpInstance(g, delta, zeta, h))
-    except (CapExceeded, ValueError) as exc:
-        _refuse(str(exc), as_json)
-    _finish(res, as_json)
+    _answer(as_json, lambda: testkit.oracle_trlp(
+        TrlpInstance(_load_graph(graph_path), delta, zeta, h)))
 
 
 @oracle.command("ecc")
@@ -358,13 +352,8 @@ def oracle_trlp_cmd(graph_path, delta, zeta, h, as_json) -> None:
 @click.option("--zeta", required=True, type=int)
 @click.option("--json", "as_json", is_flag=True)
 def oracle_ecc_cmd(graph_path, source, variant, k, delta, zeta, as_json) -> None:
-    try:
-        g = _load_graph(graph_path)
-        inst = eccmod.EccInstance(g, source, k, delta, zeta, variant)
-        res = testkit.oracle_ecc(inst)
-    except (CapExceeded, ValueError) as exc:
-        _refuse(str(exc), as_json)
-    _finish(res, as_json)
+    _answer(as_json, lambda: testkit.oracle_ecc(
+        eccmod.EccInstance(_load_graph(graph_path), source, k, delta, zeta, variant)))
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ The hop variant and its decision form share one layered relaxation
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .limits import WorkCaps, DEFAULT_CAPS
@@ -160,12 +160,4 @@ def solve_ecc_perturbed(inst: EccInstance, caps: WorkCaps = DEFAULT_CAPS) -> Sol
         )
     from . import testkit
 
-    res = testkit.oracle_ecc(inst, caps=caps)
-    return SolveResult(
-        res.answer,
-        "exhaustive",
-        source=res.source,
-        reach_count=res.reach_count,
-        perturbation=res.perturbation,
-        ecc_value=res.ecc_value,
-    )
+    return replace(testkit.oracle_ecc(inst, caps=caps), strategy="exhaustive")

@@ -125,16 +125,20 @@ def _sweep(fwd: list[int], layers: dict, masked: Optional[dict] = None) -> list[
     return fwd
 
 
-def _window(ts: tuple[int, ...], delta: int) -> set[int]:
-    return {w for t in ts for w in range(max(1, t - delta), t + delta + 1)}
+def _windows(g: TemporalGraph, delta: int) -> list[set[int]]:
+    """Each edge's times within ±delta of one of its labels, clipped at 1.  A
+    delta above lifetime + n acts as lifetime + n: every time in [1, T+n+1]
+    then lies in every window, and no journey needs a later one."""
+    delta = min(delta, g.lifetime + g.n)
+    return [{w for t in ts for w in range(max(1, t - delta), t + delta + 1)} for ts in g.labels]
 
 
 def reach_counts(g: TemporalGraph, delta: int = 0) -> list[int]:
     """Reach count of every source when each edge is active at its labels, or
     over their ±delta windows (clipped at 1) when delta > 0."""
     layers: dict[int, list[tuple[int, int]]] = {}
-    for e, ts in zip(g.edges, g.labels):
-        for t in _window(ts, delta) if delta else ts:
+    for e, ts in zip(g.edges, _windows(g, delta) if delta else g.labels):
+        for t in ts:
             layers.setdefault(t, []).append(e)
     return [bits.bit_count() for bits in _sweep([1 << v for v in range(g.n)], layers)]
 
@@ -148,7 +152,7 @@ class SubsetSweep:
 
     def __init__(self, g: TemporalGraph, delta: int):
         self.g, self.width = g, max(8, 1 << (g.n - 1).bit_length())
-        self.extra = [_window(ts, delta).difference(ts) for ts in g.labels]
+        self.extra = [w.difference(ts) for w, ts in zip(_windows(g, delta), g.labels)]
         self.layers: dict[int, list[tuple[int, int]]] = {t: [] for ts in self.extra for t in ts}
         for e, ts in zip(g.edges, g.labels):
             for t in ts:

@@ -12,7 +12,9 @@
   of that cell gives the certificate.
 * ``solve_trlp_big_zeta``: when zeta >= h-1 the bounded problem collapses to
   the unlimited one; the certificate is thinned to at most h-1 moves.
-* ``solve_trlp``: strategy dispatcher.
+* ``solve_trlp``: runs one strategy of ``STRATEGIES``, or under ``auto`` each
+  in turn.  Every strategy's yes, the DPs' and the oracle's too, comes from
+  ``_certified_yes``, which checks the certificate on the instance's graph.
 """
 
 from __future__ import annotations
@@ -51,6 +53,12 @@ class TrlpInstance:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """On a yes, ``perturbation`` is a certificate and ``reach_count`` what
+    ``source`` reaches under it (``ecc_value``: its eccentricity there).  On a
+    trlp no, ``reach_count`` is the bounded optimum for xp, tree and bigzeta,
+    None for treewidth, and for the oracle the best count among the
+    candidates it visited, which can fall below the optimum."""
+
     answer: bool
     strategy: str
     source: Optional[int] = None
@@ -75,15 +83,19 @@ def _nearest_origin_label(labels: tuple[int, ...], target: int, delta: int) -> i
 
 
 def _certified_yes(
-    inst: TrlpInstance, strategy: str, source: int, records, shift: dict[int, int]
+    inst: TrlpInstance, strategy: str, source: int, records,
+    shift: Optional[dict[int, int]] = None,
 ) -> SolveResult:
-    """Yes result from ``records`` found on ``compress_time``'s graph: their
-    times are shifted back and the certificate is checked on ``inst.graph``."""
-    cert = Perturbation(inst.delta, inst.zeta, tuple(
-        (e, old + shift[old], new + shift[old]) for e, old, new in records
-    ))
+    """Yes result from moved-appearance ``records``, checked on ``inst.graph``:
+    the certificate must keep within the bounds and make ``source`` reach h
+    there.  Records found on ``compress_time``'s graph come with its
+    ``shift``, which maps their times back."""
+    if shift:
+        records = [(e, old + shift[old], new + shift[old]) for e, old, new in records]
+    cert = Perturbation(inst.delta, inst.zeta, tuple(records))
     count = len(reach_set(apply_perturbation(inst.graph, cert), source))
-    assert count >= inst.h
+    if count < inst.h:
+        raise AssertionError(f"{strategy} certificate reaches {count} < h={inst.h}")
     return SolveResult(True, strategy, source=source, reach_count=count, perturbation=cert)
 
 
@@ -172,10 +184,7 @@ def solve_trlp_xp(inst: TrlpInstance, caps: WorkCaps = DEFAULT_CAPS) -> SolveRes
         source, subset = found
         exp = _explore(g, source, delta, frozenset(subset))
         cert = certificate_from_exploration(g, exp, delta, zeta)
-        assert cert.perturbed_count <= zeta
-        return SolveResult(
-            True, "xp", source=source, reach_count=exp.count(), perturbation=cert
-        )
+        return _certified_yes(inst, "xp", source, cert.records)
     return SolveResult(False, "xp", reach_count=best_count)
 
 
@@ -185,11 +194,10 @@ def solve_trlp_big_zeta(inst: TrlpInstance) -> SolveResult:
     endpoint arrives latest."""
     if inst.zeta < inst.h - 1:
         raise ValueError("big-zeta route requires zeta >= h - 1")
-    g, delta, h = inst.graph, inst.delta, inst.h
-    trp = solve_trp(g, delta, h)
+    h = inst.h
+    trp = solve_trp(inst.graph, inst.delta, h)
     if not trp.answer:
         return SolveResult(False, "bigzeta", reach_count=trp.reach_count)
-    src = trp.source
     moved = trp.perturbation.moved_records()
     if len(moved) > h - 1:
         # A moved tree edge's new time is its later endpoint's arrival, and
@@ -197,83 +205,57 @@ def solve_trlp_big_zeta(inst: TrlpInstance) -> SolveResult:
         # keeping the h-1 earliest (by new time) keeps their whole ancestor
         # chains intact.
         moved = sorted(moved, key=lambda rec: (rec[2], rec[0], rec[1]))[: h - 1]
-    cert = Perturbation(delta, inst.zeta, tuple(moved))
-    count = len(reach_set(apply_perturbation(g, cert), src))
-    assert count >= h
-    return SolveResult(True, "bigzeta", source=src, reach_count=count, perturbation=cert)
+    return _certified_yes(inst, "bigzeta", trp.source, moved)
 
 
-def _obs1_result(inst: TrlpInstance) -> SolveResult:
-    g = inst.graph
-    deg = [len(a) for a in g.adjacency]
-    src = deg.index(max(deg))
-    count = len(reach_set(g, src))
-    cert = Perturbation(inst.delta, inst.zeta, ())
-    return SolveResult(True, "degree", source=src, reach_count=count, perturbation=cert)
+STRATEGIES = ("degree", "bigzeta", "tree", "treewidth", "xp", "oracle")  # auto's order
 
 
 def solve_trlp(
-    inst: TrlpInstance,
-    strategy: str = "auto",
-    decomposition=None,
-    caps: WorkCaps = DEFAULT_CAPS,
+    inst: TrlpInstance, strategy: str = "auto", decomposition=None, caps: WorkCaps = DEFAULT_CAPS
 ) -> SolveResult:
-    """Strategy dispatcher.  ``auto`` order: neighbourhood bound, big-zeta,
-    tree DP, treewidth DP (when a decomposition of width <= ``TW_MAX_WIDTH``
-    is given or found for n <= 20, and its state cap admits), subset
-    enumeration, enumeration oracle, refusal."""
-    from . import treedp, twdp  # deferred: treedp/twdp import this module's types
+    """Run ``strategy``, one of ``STRATEGIES``, or under ``auto`` each of them
+    in that order, skipping any that does not apply or exceeds its cap, and
+    refuse past the last.  A runner answers or refuses when forced; under
+    auto it returns None where it does not apply.  There the treewidth DP
+    needs a decomposition of width <= ``TW_MAX_WIDTH``, given or found for
+    n <= 20."""
+    from . import testkit, treedp, twdp  # deferred: they import this module's types
 
-    g = inst.graph
-    if strategy != "auto":
-        return _run_strategy(inst, strategy, decomposition, caps)
-    if inst.h <= g.max_degree() + 1:
-        return _obs1_result(inst)
-    if inst.zeta >= inst.h - 1:
-        return solve_trlp_big_zeta(inst)
-    if _is_tree(g.n, g.edges):
-        return treedp.solve_trlp_tree(inst)
-    decomp = decomposition
-    if decomp is None and g.n <= 20:
-        decomp = twdp.decompose_exact_small(g.n, g.edges)
-    if decomp is not None and decomp.width() <= TW_MAX_WIDTH:
-        try:
-            return twdp.solve_trlp_treewidth(inst, decomp, caps=caps)
-        except CapExceeded:
-            pass
-    try:
-        return solve_trlp_xp(inst, caps)
-    except CapExceeded:
-        pass
-    from . import testkit
+    g, h = inst.graph, inst.h
 
-    try:
-        return testkit.oracle_trlp(inst, caps=caps)
-    except CapExceeded:
-        pass
-    raise CapExceeded("instance too large for exact solve")
-
-
-def _run_strategy(inst, strategy, decomposition, caps) -> SolveResult:
-    from . import treedp, twdp
-
-    if strategy == "degree":
-        if inst.h > inst.graph.max_degree() + 1:
+    def degree(auto: bool) -> SolveResult:
+        # a vertex of largest degree reaches its neighbours at their labels
+        if h > g.max_degree() + 1:
             raise CapExceeded("degree bound does not apply: h > max degree + 1")
-        return _obs1_result(inst)
-    if strategy == "bigzeta":
-        return solve_trlp_big_zeta(inst)
-    if strategy == "tree":
-        return treedp.solve_trlp_tree(inst)
-    if strategy == "treewidth":
-        decomp = decomposition
-        if decomp is None:
-            decomp = twdp.decompose_exact_small(inst.graph.n, inst.graph.edges)
-        return twdp.solve_trlp_treewidth(inst, decomp, caps=caps)
-    if strategy == "xp":
-        return solve_trlp_xp(inst, caps)
-    if strategy == "oracle":
-        from . import testkit
+        deg = [len(a) for a in g.adjacency]
+        return _certified_yes(inst, "degree", deg.index(max(deg)), ())
 
-        return testkit.oracle_trlp(inst, caps=caps)
-    raise ValueError(f"unknown strategy {strategy!r}")
+    def treewidth(auto: bool) -> Optional[SolveResult]:
+        # an exact decomposition raises CapExceeded beyond 20 vertices
+        decomp = decomposition or twdp.decompose_exact_small(g.n, g.edges)
+        if auto and decomp.width() > TW_MAX_WIDTH:
+            return None
+        return twdp.solve_trlp_treewidth(inst, decomp, caps=caps)
+
+    runners = {
+        "degree": degree,
+        "bigzeta": lambda auto: None if auto and inst.zeta < h - 1 else solve_trlp_big_zeta(inst),
+        "tree": lambda auto: (
+            None if auto and not _is_tree(g.n, g.edges) else treedp.solve_trlp_tree(inst)),
+        "treewidth": treewidth,
+        "xp": lambda auto: solve_trlp_xp(inst, caps),
+        "oracle": lambda auto: testkit.oracle_trlp(inst, caps=caps),
+    }
+    if strategy != "auto":
+        if strategy not in runners:
+            raise ValueError(f"unknown strategy {strategy!r}")
+        return runners[strategy](False)
+    for name in STRATEGIES:
+        try:
+            res = runners[name](True)
+        except CapExceeded:
+            continue
+        if res is not None:
+            return res
+    raise CapExceeded("instance too large for exact solve")

@@ -34,7 +34,7 @@ from typing import Callable, Iterable, Iterator, Optional
 from . import ecc as eccmod
 from .limits import CapExceeded, WorkCaps, DEFAULT_CAPS
 from .reach import reach_counts, reach_set
-from .solvers import SolveResult, TrlpInstance
+from .solvers import SolveResult, TrlpInstance, _certified_yes
 from .tgraph import Edge, Perturbation, PerturbationError, TemporalGraph, apply_perturbation
 
 
@@ -310,7 +310,7 @@ def oracle_trlp(inst: TrlpInstance, caps: WorkCaps = DEFAULT_CAPS) -> SolveResul
         src, count = _scan_sources(pg, inst.h)
         best[0] = max(best[0], count)
         if src is not None:
-            found.append((p, src, count))
+            found.append((p, src))
             return True
         return False
 
@@ -322,8 +322,8 @@ def oracle_trlp(inst: TrlpInstance, caps: WorkCaps = DEFAULT_CAPS) -> SolveResul
         on_complete=accept,
     )
     if found:
-        p, src, count = found[0]
-        return SolveResult(True, "oracle", source=src, reach_count=count, perturbation=p)
+        p, src = found[0]
+        return _certified_yes(inst, "oracle", src, p.records)
     return SolveResult(False, "oracle", reach_count=best[0])
 
 

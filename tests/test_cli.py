@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner, _NamedTextIOWrapper
 
 from temporeach.cli import main
+from temporeach.tgraph import parse_graph
 
 PATH_TG = "n 3\ne 0 1 2\ne 1 2 1\n"
 CHAIN4_TG = "n 4\ne 0 1 2\ne 1 2 2\ne 2 3 2\n"
@@ -430,3 +431,37 @@ def test_dp_answers_follow_shifted_labels(runner, tmp_path, text, strategy, zeta
             parts[3:] = [str(int(t) - offset) for t in parts[3:]]
         unshifted.append(" ".join(parts))
     assert unshifted == base
+
+
+def test_internal_error_exits_two(runner, tmp_path, monkeypatch):
+    # exit 1 means "no": an exception that is not a refusal must not read as one
+    def broken(*args, **kwargs):
+        raise RuntimeError("broken solver")
+
+    monkeypatch.setattr("temporeach.cli.solve_trlp", broken)
+    args = ["trlp", "-g", write(tmp_path, "g.tg", PATH_TG), "--delta", "1", "--zeta", "1", "--h", "3"]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert "Traceback" in res.stderr and "RuntimeError: broken solver" in res.stderr
+
+
+@pytest.mark.parametrize(
+    "text", [PATH_TG, CHAIN4_TG, DP_TREE_TG, DP_CYCLE_TG, "n 3\ne 0 1 5\ne 1 2 3\n"],
+    ids=["path", "chain4", "tree", "cycle", "late-first"],
+)
+def test_delta_past_lifetime_plus_n_answers_as_at_it(runner, tmp_path, text):
+    # every time in [1, T+n+1] lies in every window at delta = T+n, so a
+    # larger delta reaches nothing more; the sweeps must not grow with it
+    gpath = write(tmp_path, "g.tg", text)
+    g = parse_graph(text)
+    for h in range(1, g.n + 1):
+        calls = [["trp", "--h", str(h)]] + [
+            ["trlp", "--zeta", str(z), "--h", str(h), "--strategy", "xp"] for z in (0, 1, 2)
+        ]
+        for call in calls:
+            at_cap, huge = (
+                runner.invoke(main, [*call, "-g", gpath, "--delta", str(d)])
+                for d in (g.lifetime + g.n, 10**9)
+            )
+            assert (at_cap.exit_code, at_cap.output) == (huge.exit_code, huge.output), call

@@ -281,3 +281,15 @@ def test_large_time_labels_take_no_extra_work(tmp_path):
     assert time.perf_counter() - start < 1.0
     assert trp.exit_code == 0 and "REACH 4" in trp.output
     assert best.exit_code == 0 and best.output.splitlines() == ["RMAX 4", "SOURCE 0"]
+
+
+def test_sweeps_at_huge_delta_match_lifetime_plus_n():
+    # every time in [1, T+n+1] lies in every window at delta = T+n, so a
+    # larger delta reaches nothing more, and the sweeps cap it there
+    rng = random.Random(2026_19)
+    for _ in range(100):
+        g = seeded_micro_graph(rng)
+        cap = g.lifetime + g.n
+        subsets = [(), tuple(i for i in range(len(g.edges)) if rng.random() < 0.5)]
+        assert reach_counts(g, 10**9) == reach_counts(g, cap), g
+        assert sweep_all(g, 10**9, subsets) == sweep_all(g, cap, subsets), g

@@ -1,13 +1,17 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from temporeach import solvers
+from temporeach.cli import trlp
 from temporeach.limits import CapExceeded, WorkCaps
 from temporeach.reach import arrivals, max_reachability
 from temporeach.solvers import (
+    STRATEGIES,
     TrlpInstance,
     _explore,
     solve_trlp,
@@ -16,7 +20,13 @@ from temporeach.solvers import (
     solve_trp,
     xp_work_estimate,
 )
-from temporeach.tgraph import TemporalGraph, apply_perturbation, parse_graph, validate_relabelling
+from temporeach.tgraph import (
+    Perturbation,
+    TemporalGraph,
+    apply_perturbation,
+    parse_graph,
+    validate_relabelling,
+)
 from temporeach.testkit import (
     PROFILES,
     enumerate_perturbations,
@@ -325,3 +335,35 @@ def test_dispatch_matches_oracle(g, delta, zeta, h):
         assert count >= h
         moved = validate_relabelling(g, pg, delta)
         assert moved is not None and moved <= zeta
+
+
+def test_auto_answers_as_the_strategy_it_names():
+    # auto runs the table's strategies in order: the one it reports, forced,
+    # gives the same result field for field
+    for seed in range(40):
+        for profile in PROFILES:
+            inst = random_instance(seed, profile)
+            for h in range(1, inst.graph.n + 1):
+                at_h = replace(inst, h=h)
+                res = solve_trlp(at_h)
+                assert solve_trlp(at_h, strategy=res.strategy) == res, (seed, profile, h)
+
+
+def test_cli_strategy_choices_are_the_table():
+    option = next(p for p in trlp.params if p.name == "strategy")
+    assert tuple(option.type.choices) == ("auto", *STRATEGIES)
+
+
+def test_xp_yes_is_checked_on_the_graph(monkeypatch):
+    # no vertex reaches all four at the labels; 1 does once 1-2 moves from 2
+    # to 1.  A certificate that lost its records proves nothing, so XP must
+    # raise, not answer yes
+    inst = TrlpInstance(parse_graph("n 4\ne 0 1 2\ne 1 2 2\ne 2 3 2"), 1, 1, 4)
+    res = solve_trlp_xp(inst)
+    assert (res.source, res.perturbation.records) == (1, (((1, 2), 2, 1),))
+    monkeypatch.setattr(
+        solvers, "certificate_from_exploration",
+        lambda g, exp, delta, zeta: Perturbation(delta, zeta, ()),
+    )
+    with pytest.raises(AssertionError, match="xp certificate reaches 3 < h=4"):
+        solve_trlp_xp(inst)
