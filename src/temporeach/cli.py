@@ -41,7 +41,7 @@ _IN_FILE = click.Path(exists=True, dir_okay=False)
 
 
 def _load_graph(path: str) -> TemporalGraph:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_graph(fh.read(), allow_headers=True)
 
 
@@ -127,7 +127,7 @@ def trlp(graph_path, delta, zeta, h, strategy, decomp_path, as_json) -> None:
         inst = TrlpInstance(_load_graph(graph_path), delta, zeta, h)
         decomp = None
         if decomp_path:
-            with open(decomp_path, "r", encoding="utf-8") as fh:
+            with open(decomp_path, "r", encoding="utf-8-sig") as fh:
                 decomp = twdp.parse_decomposition(fh.read())
         return solve_trlp(inst, strategy=strategy, decomposition=decomp)
 
@@ -206,7 +206,7 @@ def gen_domset(graph_path, r, out) -> None:
     """Reduce a dominating-set question on a static graph: an `n` line and
     `e u v` lines; any labels after `e u v` are ignored."""
     try:
-        with open(graph_path, "r", encoding="utf-8") as fh:
+        with open(graph_path, "r", encoding="utf-8-sig") as fh:
             sg = _parse_static(fh.read())
         inst = testkit.domset_to_trlp(sg, r)
     except ValueError as exc:
@@ -265,7 +265,7 @@ def gen_sat_tfaep(cnf_path, k, delta, out) -> None:
 
 def _write_gadget(cnf_path, reduction, k, delta, out) -> None:
     try:
-        with open(cnf_path, "r", encoding="utf-8") as fh:
+        with open(cnf_path, "r", encoding="utf-8-sig") as fh:
             f = testkit.parse_dimacs(fh.read())
         inst = reduction(f, k, delta)
     except ValueError as exc:
@@ -299,10 +299,14 @@ def verify(graph_path, pert_path, source, h, variant, k, as_json) -> None:
     """Re-check a claimed certificate: bounds, then reach >= h or ecc <= k."""
     try:
         g = _load_graph(graph_path)
-        with open(pert_path, "r", encoding="utf-8") as fh:
+        with open(pert_path, "r", encoding="utf-8-sig") as fh:
             p = parse_perturbation(fh.read())
         if not (0 <= source < g.n):
             raise ValueError(f"source {source} out of range")
+        if h is not None and not (1 <= h <= g.n):
+            raise ValueError(f"h must be in [1, n], got {h}")
+        if h is None and k is not None and k < 0:
+            raise ValueError("k must be nonnegative")
         perturbed = apply_perturbation(g, p)
     except ValueError as exc:
         _refuse(str(exc), as_json)

@@ -6,9 +6,12 @@ perturbation re-times individual edge appearances: each record moves one
 appearance of one edge by at most ``delta``, new times stay >= 1, and the
 appearances of an edge must remain pairwise distinct.
 
-``.tg`` format (UTF-8, LF): ``#`` starts a comment line, the first
-non-comment line is ``n <count>``, and every following line is
+``.tg`` format (UTF-8, LF, optional BOM): ``#`` starts a comment line,
+the first non-comment line is ``n <count>``, and every following line is
 ``e <u> <v> <t1> <t2> ...`` with ``u < v`` and times strictly increasing.
+
+The ``TemporalGraph`` constructor checks a whole graph; ``parse_graph`` checks
+each line once, ``with_labels`` its new labels, and both build unchecked.
 
 Perturbation files: header lines ``delta <d>`` and ``zeta <z>`` followed by
 ``p <u> <v> <old> <new>`` lines.
@@ -42,7 +45,7 @@ class TemporalGraph:
     """Immutable temporal graph with dense 0-based vertex ids.
 
     ``edges`` is sorted, each pair has u < v, and ``labels[i]`` is the sorted
-    activity-time tuple of ``edges[i]``.
+    activity-time tuple of ``edges[i]``.  The constructor checks all of this.
     """
 
     n: int
@@ -77,16 +80,16 @@ class TemporalGraph:
 
     @cached_property
     def edge_index(self) -> dict[Edge, int]:
-        return {e: i for i, e in enumerate(self.edges)}
+        return dict(zip(self.edges, range(len(self.edges))))
 
     @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per vertex, sorted (neighbour, edge index) pairs."""
+        """Per vertex, (neighbour, edge index) pairs, sorted because ``edges`` are."""
         adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
         for i, (u, v) in enumerate(self.edges):
             adj[u].append((v, i))
             adj[v].append((u, i))
-        return tuple(tuple(sorted(a)) for a in adj)
+        return tuple(map(tuple, adj))
 
     def max_degree(self) -> int:
         return max((len(a) for a in self.adjacency), default=0)
@@ -121,14 +124,16 @@ class TemporalGraph:
         return self._relabelled(tuple(labels))
 
     def _relabelled(self, labels: tuple[tuple[int, ...], ...]) -> "TemporalGraph":
-        """This graph's edges, edge_index and adjacency holding ``labels``,
-        which are not checked."""
-        copy = object.__new__(TemporalGraph)
-        copy.__dict__.update(
-            n=self.n, edges=self.edges, labels=labels,
-            edge_index=self.edge_index, adjacency=self.adjacency,
-        )
-        return copy
+        """This graph's structure holding ``labels``, which are not checked."""
+        return _unchecked(n=self.n, edges=self.edges, labels=labels,
+                          edge_index=self.edge_index, adjacency=self.adjacency)
+
+
+def _unchecked(**fields) -> TemporalGraph:
+    """A graph from fields and cached properties known to be valid; nothing is checked."""
+    g = object.__new__(TemporalGraph)
+    g.__dict__.update(fields)
+    return g
 
 
 @dataclass(frozen=True)
@@ -159,25 +164,47 @@ class Perturbation:
 
 def _parse_lines(text: str | bytes) -> Iterator[tuple[int, list[str]]]:
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        text = text.decode("utf-8-sig")
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield line_no, line.split()
+        parts = raw.split()
+        if parts and not parts[0].startswith("#"):
+            yield line_no, parts
 
 
 def parse_graph(text: str | bytes, *, allow_headers: bool = False) -> TemporalGraph:
-    """Parse ``.tg`` text.  With ``allow_headers`` unknown key/value lines
-    (instance metadata such as ``delta 1``) are skipped rather than rejected."""
+    """Parse ``.tg`` text, checking each line once and building the graph
+    unchecked.  With ``allow_headers`` unknown key/value lines (instance
+    metadata such as ``delta 1``) are skipped rather than rejected."""
     n: Optional[int] = None
     edges: list[Edge] = []
     labels: list[tuple[int, ...]] = []
-    seen: set[Edge] = set()
+    index: dict[Edge, int] = {}
     header_keys = {"delta", "zeta", "h", "k", "source", "variant"}
     for line_no, parts in _parse_lines(text):
         kind = parts[0]
-        if kind == "n":
+        if kind == "e":
+            if n is None:
+                raise FormatError(line_no, "edge before 'n' line")
+            if len(parts) < 4:
+                raise FormatError(line_no, "edge line needs two endpoints and at least one time")
+            try:
+                u, v, *ts = map(int, parts[1:])
+            except ValueError:
+                raise FormatError(line_no, "non-integer field on edge line") from None
+            if not (0 <= u < n and 0 <= v < n):
+                raise FormatError(line_no, f"vertex id out of range on edge ({u},{v})")
+            if u >= v:
+                raise FormatError(line_no, f"edge endpoints must satisfy u < v, got ({u},{v})")
+            if (u, v) in index:
+                raise FormatError(line_no, f"duplicate edge ({u},{v})")
+            if min(ts) < 1:
+                raise FormatError(line_no, "label < 1")
+            if len(ts) > 1 and ts != sorted(set(ts)):
+                raise FormatError(line_no, "labels not sorted strictly increasing")
+            edges.append((u, v))
+            index[edges[-1]] = len(index)
+            labels.append(tuple(ts))
+        elif kind == "n":
             if n is not None:
                 raise FormatError(line_no, "repeated 'n' line")
             if len(parts) != 2:
@@ -188,37 +215,16 @@ def parse_graph(text: str | bytes, *, allow_headers: bool = False) -> TemporalGr
                 raise FormatError(line_no, f"bad vertex count {parts[1]!r}") from None
             if n < 0:
                 raise FormatError(line_no, "vertex count must be nonnegative")
-        elif kind == "e":
-            if n is None:
-                raise FormatError(line_no, "edge before 'n' line")
-            if len(parts) < 4:
-                raise FormatError(line_no, "edge line needs two endpoints and at least one time")
-            try:
-                u, v = int(parts[1]), int(parts[2])
-                ts = tuple(int(x) for x in parts[3:])
-            except ValueError:
-                raise FormatError(line_no, "non-integer field on edge line") from None
-            if not (0 <= u < n and 0 <= v < n):
-                raise FormatError(line_no, f"vertex id out of range on edge ({u},{v})")
-            if u >= v:
-                raise FormatError(line_no, f"edge endpoints must satisfy u < v, got ({u},{v})")
-            if (u, v) in seen:
-                raise FormatError(line_no, f"duplicate edge ({u},{v})")
-            if any(t < 1 for t in ts):
-                raise FormatError(line_no, "label < 1")
-            if any(a >= b for a, b in zip(ts, ts[1:])):
-                raise FormatError(line_no, "labels not sorted strictly increasing")
-            seen.add((u, v))
-            edges.append((u, v))
-            labels.append(ts)
         elif allow_headers and kind in header_keys:
             continue
         else:
             raise FormatError(line_no, f"unknown line kind {kind!r}")
     if n is None:
         raise FormatError(0, "missing 'n' line")
-    order = sorted(range(len(edges)), key=lambda i: edges[i])
-    return TemporalGraph(n, tuple(edges[i] for i in order), tuple(labels[i] for i in order))
+    if edges != sorted(edges):  # lines out of order
+        edges, labels = zip(*sorted(zip(edges, labels)))
+        return _unchecked(n=n, edges=edges, labels=labels)
+    return _unchecked(n=n, edges=tuple(edges), labels=tuple(labels), edge_index=index)
 
 
 def serialize_graph(g: TemporalGraph) -> str:
@@ -345,7 +351,7 @@ def compress_time(g: TemporalGraph, delta: int) -> tuple[TemporalGraph, dict[int
         cur += min(t - prev, 2 * delta + 1)
         new[t], prev = cur, t
     labels = tuple(tuple(new[t] for t in ts) for ts in g.labels)
-    return TemporalGraph(g.n, g.edges, labels), {c: t - c for t, c in new.items()}
+    return g._relabelled(labels), {c: t - c for t, c in new.items()}
 
 
 def _minimal_matching(

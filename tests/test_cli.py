@@ -377,6 +377,49 @@ def test_verify_source_out_of_range_refused(runner, tmp_path, source, check):
     assert res.output.startswith("REFUSED ")
 
 
+@pytest.mark.parametrize(
+    "check, reason",
+    [
+        (["--h", "0"], "h must be in [1, n], got 0"),
+        (["--h", "9"], "h must be in [1, n], got 9"),
+        (["--variant", "shortest", "-k", "-1"], "k must be nonnegative"),
+    ],
+)
+def test_verify_threshold_out_of_range_refused(runner, tmp_path, check, reason):
+    # the thresholds trlp and ecc refuse are refused here too, not judged
+    gpath = write(tmp_path, "g.tg", PATH_TG)
+    ppath = write(tmp_path, "p.txt", "delta 0\nzeta 0\n")
+    res = runner.invoke(main, ["verify", "-g", gpath, "-p", ppath, "--source", "0", *check])
+    assert res.exit_code == 2, res.output
+    assert res.output == f"REFUSED {reason}\n"
+
+
+def test_every_input_file_may_start_with_a_utf8_bom(runner, tmp_path):
+    texts = {
+        "g": PATH_TG,
+        "p": "delta 1\nzeta 1\np 0 1 2 1\n",
+        "c": DP_CYCLE_TG,
+        "d": DP_CYCLE_DECOMP,
+        "f": "p cnf 2 2\n1 2 0\n-1 0\n",
+    }
+    calls = [
+        ["reach", "-g", "{g}"],
+        ["verify", "-g", "{g}", "-p", "{p}", "--source", "0", "--h", "3"],
+        ["trlp", "-g", "{c}", "--delta", "1", "--zeta", "1", "--h", "4", "--decomp", "{d}"],
+        ["gen", "sat-tsep", "-f", "{f}"],
+        ["gen", "domset", "-g", "{g}", "-r", "1"],
+    ]
+    plain = {k: write(tmp_path, f"plain-{k}", t) for k, t in texts.items()}
+    for k, t in texts.items():
+        (tmp_path / f"bom-{k}").write_bytes(b"\xef\xbb\xbf" + t.encode())
+    bommed = {k: str(tmp_path / f"bom-{k}") for k in texts}
+    for call in calls:
+        want = runner.invoke(main, [a.format(**plain) for a in call])
+        res = runner.invoke(main, [a.format(**bommed) for a in call])
+        assert want.exit_code in (0, 1), want.output
+        assert (res.exit_code, res.output) == (want.exit_code, want.output)
+
+
 def test_invocations_leave_no_output_stream_alive(runner, tmp_path):
     gpath = write(tmp_path, "g.tg", PATH_TG)
 

@@ -38,21 +38,60 @@ def test_parse_rejects_duplicate_label():
     assert exc.value.line_no == 2
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "e 0 1 1\nn 2",  # edge before n
-        "n 2\ne 0 2 1",  # out of range
-        "n 2\ne 1 0 1",  # u >= v
-        "n 2\ne 0 1 0",  # label < 1
-        "n 2\ne 0 1 2 1",  # unsorted
-        "n 3\ne 0 1 1\ne 0 1 2",  # duplicate edge
-        "n 2\nq 0 1 1",  # unknown kind
-    ],
-)
+# every parse_graph rejection: text -> (line number, message).  A line that
+# breaks two rules reports the first check of: field count, integers, range,
+# u < v, duplicate, label < 1, strictly increasing.
+_REJECTIONS = {
+    "e 0 1 1\nn 2": (1, "edge before 'n' line"),
+    "n 2\ne 0 2 1": (2, "vertex id out of range on edge (0,2)"),
+    "n 2\ne 1 0 1": (2, "edge endpoints must satisfy u < v, got (1,0)"),
+    "n 2\ne 0 1 0": (2, "label < 1"),
+    "n 2\ne 0 1 2 1": (2, "labels not sorted strictly increasing"),
+    "n 3\ne 0 1 1\ne 0 1 2": (3, "duplicate edge (0,1)"),
+    "n 2\nq 0 1 1": (2, "unknown line kind 'q'"),
+    "n 2\ne -1 1 1": (2, "vertex id out of range on edge (-1,1)"),
+    "n 2\ne 1 1 1": (2, "edge endpoints must satisfy u < v, got (1,1)"),
+    "n 2\ne 0 1 3 3": (2, "labels not sorted strictly increasing"),
+    "n 3\ne 0 2 3 2 1": (2, "labels not sorted strictly increasing"),
+    "n 2\ne 1 0 0": (2, "edge endpoints must satisfy u < v, got (1,0)"),
+    "n 2\ne 0 1 0 0": (2, "label < 1"),
+    "n 2\ne 0 1 2 0": (2, "label < 1"),
+    "n 2\ne 5 1 0": (2, "vertex id out of range on edge (5,1)"),
+    "n 3\ne 0 1 1\ne 0 1 0": (3, "duplicate edge (0,1)"),
+    "n 3\ne 0 2 1\ne 2 0 1": (3, "edge endpoints must satisfy u < v, got (2,0)"),
+    "n 3\ne 0 1 1\n\n# c\ne 1 0 5": (5, "edge endpoints must satisfy u < v, got (1,0)"),
+    "n 2\ne 0 1 x": (2, "non-integer field on edge line"),
+    "n 2\ne 0 1 1.5": (2, "non-integer field on edge line"),
+    "n 2\ne 0 x 1": (2, "non-integer field on edge line"),
+    "n 2\ne 1 0 x": (2, "non-integer field on edge line"),
+    "n 2\ne 0 1": (2, "edge line needs two endpoints and at least one time"),
+    "n 2\ne 9 9": (2, "edge line needs two endpoints and at least one time"),
+    "n 2\nn 2": (2, "repeated 'n' line"),
+    "n 2\ne 0 1 1\nn x": (3, "repeated 'n' line"),
+    "n 2 3": (1, "'n' line needs exactly one count"),
+    "n": (1, "'n' line needs exactly one count"),
+    "n x": (1, "bad vertex count 'x'"),
+    "n -1": (1, "vertex count must be nonnegative"),
+    "# c\n": (0, "missing 'n' line"),
+    "": (0, "missing 'n' line"),
+    "e 0 1 1": (1, "edge before 'n' line"),
+    "n 2\ne 0 1 1\ndelta 1": (3, "unknown line kind 'delta'"),
+    "\ufeffn 2\ne 0 1 1": (1, "unknown line kind '\\ufeffn'"),
+}
+
+
+@pytest.mark.parametrize("text", list(_REJECTIONS))
 def test_parse_rejects(text):
-    with pytest.raises(FormatError):
+    line_no, message = _REJECTIONS[text]
+    with pytest.raises(FormatError) as exc:
         parse_graph(text)
+    assert exc.value.line_no == line_no
+    assert str(exc.value) == f"line {line_no}: {message}"
+
+
+def test_parse_accepts_a_utf8_bom_in_bytes():
+    g = parse_graph(b"\xef\xbb\xbfn 2\ne 0 1 1\n")
+    assert g == parse_graph("n 2\ne 0 1 1\n")
 
 
 def test_parse_allows_comments_and_headers():
@@ -82,6 +121,47 @@ def test_serialize_parse_roundtrip(g):
     text = serialize_graph(g)
     assert parse_graph(text) == g
     assert serialize_graph(parse_graph(text)) == text
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_parse_any_edge_order_builds_the_checked_graph(data):
+    g = data.draw(temporal_graphs())
+    head, *edge_lines = serialize_graph(g).splitlines()
+    shuffled = data.draw(st.permutations(edge_lines))
+    parsed = parse_graph("\n".join([head, *shuffled]))
+    assert parsed == g
+    rows = [[] for _ in range(g.n)]
+    for i, (u, v) in enumerate(g.edges):
+        rows[u].append((v, i))
+        rows[v].append((u, i))
+    assert parsed.adjacency == tuple(tuple(sorted(r)) for r in rows)
+    assert parsed.edge_index == {e: i for i, e in enumerate(parsed.edges)}
+
+
+def _invalid_parts(g):
+    """(n, edges, labels) triples that each break one constructor rule;
+    ``g`` has at least two edges."""
+    (u, v), ts = g.edges[0], g.labels[0]
+    rest_e, rest_l = g.edges[1:], g.labels[1:]
+    yield -1, (), ()
+    yield g.n, g.edges, g.labels[1:]
+    yield g.n, ((v, u), *rest_e), g.labels
+    yield g.n, ((u, g.n), *rest_e), g.labels
+    yield g.n, ((u, v), *g.edges), (ts, *g.labels)
+    yield g.n, g.edges, ((), *rest_l)
+    yield g.n, g.edges, ((0, *ts), *rest_l)
+    yield g.n, g.edges, ((*ts, ts[-1]), *rest_l)
+    yield g.n, g.edges[::-1], g.labels[::-1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(temporal_graphs().filter(lambda g: len(g.edges) >= 2))
+def test_constructor_rejects_each_invalid_graph(g):
+    TemporalGraph(g.n, g.edges, g.labels)
+    for n, edges, labels in _invalid_parts(g):
+        with pytest.raises(ValueError):
+            TemporalGraph(n, edges, labels)
 
 
 def test_apply_single_shift():
