@@ -215,9 +215,10 @@ def gen_domset(graph_path, r, out) -> None:
 
 
 def _parse_static(text: str) -> testkit.StaticGraph:
-    """An `n <count>` line and `e u v` lines; fields after `e u v` are ignored."""
+    """An `n <count>` line, then `e u v` lines, each edge once in either
+    orientation; fields after `e u v` are ignored."""
     n = None
-    edges = []
+    edges: set[tuple[int, int]] = set()
     for line_no, parts in _parse_lines(text):
         kind = parts[0]
         if kind not in ("n", "e"):
@@ -230,10 +231,22 @@ def _parse_static(text: str) -> testkit.StaticGraph:
         except ValueError:
             raise FormatError(line_no, f"non-integer field on '{kind}' line") from None
         if kind == "n":
+            if n is not None:
+                raise FormatError(line_no, "repeated 'n' line")
+            if ids[0] < 0:
+                raise FormatError(line_no, "vertex count must be nonnegative")
             n = ids[0]
-        else:
-            u, v = ids
-            edges.append((min(u, v), max(u, v)))
+            continue
+        if n is None:
+            raise FormatError(line_no, "edge before 'n' line")
+        u, v = sorted(ids)
+        if u < 0 or v >= n:
+            raise FormatError(line_no, f"vertex id out of range on edge ({u},{v})")
+        if u == v:
+            raise FormatError(line_no, f"self-loop on vertex {u}")
+        if (u, v) in edges:
+            raise FormatError(line_no, f"duplicate edge ({u},{v})")
+        edges.add((u, v))
     if n is None:
         raise FormatError(0, "missing 'n' line")
     return testkit.StaticGraph(n, tuple(sorted(edges)))

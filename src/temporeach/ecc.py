@@ -127,10 +127,6 @@ def ecc_within(g: TemporalGraph, source: int, k: int, variant: str) -> bool:
     return _hop_depth(g, source, k) is not None
 
 
-def large_perturbation_applies(inst: EccInstance) -> bool:
-    return inst.delta >= inst.graph.lifetime and inst.zeta >= inst.graph.n - 1
-
-
 def solve_ecc_perturbed(inst: EccInstance, caps: WorkCaps = DEFAULT_CAPS) -> SolveResult:
     """Exact decision.  With delta >= T and zeta >= n-1 the best achievable
     tree re-times one appearance per tree edge to consecutive integers, so the
@@ -138,7 +134,7 @@ def solve_ecc_perturbed(inst: EccInstance, caps: WorkCaps = DEFAULT_CAPS) -> Sol
     foremost tree and the minimum duration is one less; otherwise the answer
     comes from full enumeration."""
     g = inst.graph
-    if large_perturbation_applies(inst):
+    if inst.delta >= g.lifetime and inst.zeta >= g.n - 1:
         exp = _explore(g, inst.source, inst.delta, ALL_EDGES)
         reached = [v for v, a in enumerate(exp.arrival) if a is not None]
         if len(reached) < g.n:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Optional
 
-from .tgraph import TemporalGraph, next_expanded_after, next_label_after
+from .tgraph import TemporalGraph, next_expanded_after, next_label_after, window
 
 ALL_EDGES = "all"
 
@@ -130,7 +130,7 @@ def _windows(g: TemporalGraph, delta: int) -> list[set[int]]:
     delta above lifetime + n acts as lifetime + n: every time in [1, T+n+1]
     then lies in every window, and no journey needs a later one."""
     delta = min(delta, g.lifetime + g.n)
-    return [{w for t in ts for w in range(max(1, t - delta), t + delta + 1)} for ts in g.labels]
+    return [{w for t in ts for w in window(t, delta)} for ts in g.labels]
 
 
 def reach_counts(g: TemporalGraph, delta: int = 0) -> list[int]:

@@ -35,7 +35,7 @@ from . import ecc as eccmod
 from .limits import CapExceeded, WorkCaps, DEFAULT_CAPS
 from .reach import reach_counts, reach_set
 from .solvers import SolveResult, TrlpInstance, _certified_yes
-from .tgraph import Edge, Perturbation, PerturbationError, TemporalGraph, apply_perturbation
+from .tgraph import Edge, Perturbation, PerturbationError, TemporalGraph, apply_perturbation, window
 
 
 @dataclass(frozen=True)
@@ -138,10 +138,6 @@ def brute_domset(g: StaticGraph, r: int) -> bool:
 # Perturbation-space enumeration (order and pruning: see the module docstring)
 
 
-def _window(t: int, delta: int) -> range:
-    return range(max(1, t - delta), t + delta + 1)
-
-
 def enumeration_size(num_time_edges: int, delta: int, zeta: int) -> int:
     width = 2 * delta
     return sum(
@@ -190,7 +186,7 @@ def scan_perturbations(
     of the scan's label array, which the caller may keep.
     """
     apps = _appearances(g, eset)
-    windows = [_window(t, delta) for _ei, t in apps]
+    windows = [window(t, delta) for _ei, t in apps]
     # what each appearance adds to its edge: (label,), its window range, or
     # (target,); all start at their label, as in g.labels
     slots: list = [(t,) for _ei, t in apps]
@@ -270,7 +266,7 @@ def enumerate_perturbations(
     apps = _appearances(g, eset)
     for size in range(min(zeta, len(apps)) + 1):
         for moved in itertools.combinations(apps, size):
-            options = [[t for t in _window(old, delta) if t != old] for _ei, old in moved]
+            options = [[t for t in window(old, delta) if t != old] for _ei, old in moved]
             for targets in itertools.product(*options):
                 records = [(g.edges[ei], old, new) for (ei, old), new in zip(moved, targets)]
                 p = Perturbation(delta, zeta, tuple(records))

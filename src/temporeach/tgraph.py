@@ -316,6 +316,11 @@ def apply_perturbation(g: TemporalGraph, p: Perturbation) -> TemporalGraph:
     return g.with_labels(new_labels)
 
 
+def window(t: int, delta: int) -> range:
+    """The times an appearance at t may move to: within ±delta, clipped at 1."""
+    return range(max(1, t - delta), t + delta + 1)
+
+
 def _is_tree(n: int, pairs: tuple[Edge, ...]) -> bool:
     """Whether ``pairs`` are the edges of one tree spanning vertices 0..n-1."""
     if len(pairs) != n - 1:
@@ -384,14 +389,6 @@ def minimal_moves(old: tuple[int, ...], new: tuple[int, ...], delta: int) -> Opt
     sorted label tuples ``old`` onto ``new``, or None if no matching exists."""
     pairs = _minimal_matching(old, new, delta)
     return None if pairs is None else len(pairs)
-
-
-def matching_records(
-    edge: Edge, old: tuple[int, ...], new: tuple[int, ...], delta: int
-) -> Optional[tuple[tuple[Edge, int, int], ...]]:
-    """Records realising a minimal-move matching of ``old`` onto ``new``, or None."""
-    pairs = _minimal_matching(old, new, delta)
-    return None if pairs is None else tuple((edge, a, b) for a, b in pairs)
 
 
 def validate_relabelling(g: TemporalGraph, g2: TemporalGraph, delta: int) -> Optional[int]:

@@ -23,6 +23,10 @@ source shares it, each arm reshaped once; a source forgets the side of the
 first bag holding it (parent -1) down to {source}, and sources rooted there
 share those forgets, memoised by (that bag, the forget's bag).
 
+One context (``_Ctx``) holds a call's state: the decomposition, the sides,
+the candidate count and each edge's label images, each mapped to the moved
+pairs of one minimal matching, whose number is the image's move count.
+
 A join node stitches its two sides' arrival functions (``_join_rin``): the
 sides meet only in the bag, so a foremost path alternates between them at bag
 vertices.  An introduce node of vertex u is the same situation: the child's
@@ -46,8 +50,8 @@ arrival times range over 0..horizon with horizon <= (distinct labels) *
 (2*delta+1) + delta whatever the size of the labels; the certificate is mapped
 back and checked on the original graph.
 
-Scoped to micro parameters: one candidate counter spans the whole call,
-counting each evaluated node once however many sources share it, and
+Scoped to micro parameters: the context's candidate count spans the whole
+call, counting each evaluated node once however many sources share it, and
 exceeding ``caps.tw_states`` triggers a refusal.
 """
 
@@ -63,7 +67,7 @@ from typing import Callable, Iterable, NamedTuple, Optional
 
 from .limits import CapExceeded, WorkCaps, DEFAULT_CAPS
 from .solvers import SolveResult, TrlpInstance, _certified_yes
-from .tgraph import Edge, _is_tree, _parse_lines, compress_time, matching_records, minimal_moves
+from .tgraph import Edge, _is_tree, _minimal_matching, _parse_lines, compress_time, window
 
 
 class DecompositionError(ValueError):
@@ -126,7 +130,12 @@ def validate_decomposition(
 
 
 def decompose_exact_small(n: int, edges: tuple[Edge, ...]) -> TreeDecomposition:
-    """Width-minimal decomposition from an optimal elimination order."""
+    """Width-minimal decomposition from an optimal elimination order: per
+    elimination prefix, the least width and the vertex eliminated last, the
+    lowest vertex id among the minimal-width choices.  That tie-break fixes
+    the decomposition ``auto`` uses, and so the treewidth certificates.  A
+    vertex's bag is itself plus what it reaches through the vertices
+    eliminated before it; it links to the earliest later bag."""
     if n > 20:
         raise CapExceeded("exact treewidth guard: at most 20 vertices")
     if n == 0:
@@ -136,14 +145,12 @@ def decompose_exact_small(n: int, edges: tuple[Edge, ...]) -> TreeDecomposition:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
 
-    def through_degree(v: int, wmask: int) -> int:
+    def through(v: int, wmask: int) -> int:
+        """The vertices outside ``wmask`` that v reaches through it, as a mask."""
         seen = 1 << v
         frontier = adj[v]
         result = 0
-        while True:
-            new = frontier & ~seen
-            if not new:
-                break
+        while new := frontier & ~seen:
             seen |= new
             result |= new & ~wmask
             expand = new & wmask
@@ -152,58 +159,37 @@ def decompose_exact_small(n: int, edges: tuple[Edge, ...]) -> TreeDecomposition:
                 low = expand & -expand
                 expand ^= low
                 frontier |= adj[low.bit_length() - 1]
-        return bin(result).count("1")
+        return result
 
-    memo: dict[int, int] = {0: 0}
-
-    def g(mask: int) -> int:
-        if mask in memo:
-            return memo[mask]
-        best = n
+    # best[mask]: the prefix's least width << 5 | the vertex it eliminates last,
+    # one flat int per mask; min breaks width ties by the lowest vertex
+    best = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        out = n << 5
         rest = mask
         while rest:
             low = rest & -rest
             rest ^= low
+            prior = mask ^ low
             v = low.bit_length() - 1
-            best = min(best, max(g(mask ^ low), through_degree(v, mask ^ low)))
-        memo[mask] = best
-        return best
-
-    full = (1 << n) - 1
-    g(full)
-    order: list[int] = []
-    mask = full
+            # a prior no narrower than out cannot win: v is above out's vertex
+            if best[prior] >> 5 < out >> 5:
+                out = min(out, max(best[prior] >> 5, through(v, prior).bit_count()) << 5 | v)
+        best[mask] = out
+    # follow the last vertices back from the whole set; a vertex's place in
+    # the order is the number of vertices eliminated before it
+    pos = [0] * n
+    bags = [frozenset()] * n
+    mask = (1 << n) - 1
     while mask:
-        pick, pick_cost = None, None
-        rest = mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            v = low.bit_length() - 1
-            cost = max(g(mask ^ low), through_degree(v, mask ^ low))
-            if pick_cost is None or cost < pick_cost:
-                pick, pick_cost = v, cost
-        order.append(pick)
-        mask ^= 1 << pick
-    order.reverse()
-
-    work = [set() for _ in range(n)]
-    for u, v in edges:
-        work[u].add(v)
-        work[v].add(u)
-    pos = {v: i for i, v in enumerate(order)}
-    bags: list[frozenset[int]] = []
-    for v in order:
-        nb = set(work[v])
-        bags.append(frozenset(nb | {v}))
-        for a in nb:
-            work[a].discard(v)
-            for b in nb:
-                if a != b:
-                    work[a].add(b)
+        v = best[mask] & 31
+        mask ^= 1 << v
+        pos[v] = mask.bit_count()
+        bag = through(v, mask) | 1 << v
+        bags[pos[v]] = frozenset(u for u in range(n) if bag >> u & 1)
     links = []
-    for i, v in enumerate(order):
-        later = [pos[w] for w in bags[i] if pos[w] > i]
+    for i, bag in enumerate(bags):
+        later = [pos[w] for w in bag if pos[w] > i]
         if later:
             links.append((i, min(later)))
         elif i + 1 < n:
@@ -258,15 +244,26 @@ class TwState(NamedTuple):
 
 
 class _Ctx:
-    def __init__(self, inst: TrlpInstance, caps: WorkCaps):
+    """One call's state (see the module docstring)."""
+
+    def __init__(self, inst: TrlpInstance, caps: WorkCaps, decomp: TreeDecomposition):
         self.g = inst.graph
         self.delta = inst.delta
         self.zeta = inst.zeta
         self.h = inst.h
         self.caps = caps
+        self.decomp = decomp
         self.horizon = self.g.lifetime + inst.delta
         self.inf = self.horizon + 1
-        self._images: dict[Edge, dict[tuple[int, ...], int]] = {}
+        self.sides: dict[tuple, _Node] = {}
+        self.candidates = 0
+        self._images: dict[Edge, dict[tuple[int, ...], tuple[tuple[int, int], ...]]] = {}
+
+    def count(self, kind: str) -> None:
+        """Count one candidate of the call; refuse past ``caps.tw_states``."""
+        self.candidates += 1
+        if self.candidates > self.caps.tw_states:
+            raise CapExceeded(f"{kind} node candidate count exceeded {self.caps.tw_states}")
 
     def bag_edges(self, bag: tuple[int, ...]) -> tuple[Edge, ...]:
         inside = []
@@ -276,24 +273,17 @@ class _Ctx:
                     inside.append((u, v))
         return tuple(sorted(inside))
 
-    def images(self, e: Edge) -> dict[tuple[int, ...], int]:
-        """Edge e's label images, each sorted, mapped to their minimal move
-        counts, in image order; built once per call."""
+    def images(self, e: Edge) -> dict[tuple[int, ...], tuple[tuple[int, int], ...]]:
+        """Edge e's label images, each sorted, mapped to the moved (old, new)
+        pairs of a minimal matching onto them, in image order; built once per
+        call.  An image's move count is the number of its pairs."""
         out = self._images.get(e)
         if out is not None:
             return out
         labels = self.g.labels[self.g.edge_index[e]]
-        windows = [
-            range(max(1, t - self.delta), t + self.delta + 1) for t in labels
-        ]
-        seen: dict[tuple[int, ...], int] = {}
-        for targets in itertools.product(*windows):
-            if len(set(targets)) != len(targets):
-                continue
-            image = tuple(sorted(targets))
-            if image not in seen:
-                seen[image] = minimal_moves(labels, image, self.delta)
-        out = self._images[e] = dict(sorted(seen.items()))
+        targets = itertools.product(*(window(t, self.delta) for t in labels))
+        images = sorted({tuple(sorted(ts)) for ts in targets if len(set(ts)) == len(ts)})
+        out = self._images[e] = {i: _minimal_matching(labels, i, self.delta) for i in images}
         return out
 
 
@@ -349,13 +339,6 @@ def _insert_digit(index: int, digit: int, scale: int, base: int) -> int:
     return (high * base + digit) * scale + low
 
 
-def _count(ctx: _Ctx, counter: list[int], kind: str) -> None:
-    """Count one candidate of the call; refuse past ``caps.tw_states``."""
-    counter[0] += 1
-    if counter[0] > ctx.caps.tw_states:
-        raise CapExceeded(f"{kind} node candidate count exceeded {ctx.caps.tw_states}")
-
-
 def _star_rows(
     ctx: _Ctx, k: int, u_i: int, images: Iterable[tuple[int, tuple[int, ...]]]
 ) -> tuple:
@@ -384,7 +367,7 @@ def _star_rows(
 
 def _introduce_states(
     ctx: _Ctx, bag: tuple[int, ...], u: int, child_bag: tuple[int, ...],
-    child_states: dict[TwState, tuple], counter: list[int],
+    child_states: dict[TwState, tuple],
 ) -> dict[TwState, tuple]:
     horizon, inf = ctx.horizon, ctx.inf
     k = len(bag)
@@ -421,8 +404,8 @@ def _introduce_states(
     out: dict[TwState, tuple] = {}
     for ckey in sorted(child_states):
         for ci, combo in enumerate(combos):
-            _count(ctx, counter, "introduce")
-            moves = ckey.moves + sum(c for _img, c in combo)
+            ctx.count("introduce")
+            moves = ckey.moves + sum(len(pairs) for _img, pairs in combo)
             if moves > ctx.zeta:
                 continue
             p_map = dict(zip(edges_child, ckey.p))
@@ -437,7 +420,7 @@ def _introduce_states(
 
 def _forget_states(
     ctx: _Ctx, bag: tuple[int, ...], u: int, child_bag: tuple[int, ...],
-    child_states: dict[TwState, tuple], counter: list[int],
+    child_states: dict[TwState, tuple],
 ) -> dict[TwState, tuple]:
     inf, h = ctx.inf, ctx.h
     cidx = {v: i for i, v in enumerate(child_bag)}
@@ -461,7 +444,7 @@ def _forget_states(
 
     out: dict[TwState, tuple] = {}
     for ckey in sorted(child_states):
-        _count(ctx, counter, "forget")
+        ctx.count("forget")
         p_s = tuple(ckey.p[i] for i in kept)
         rows = [ckey.r_in[c] for c in keep_cols]
         rin_s = tuple(tuple(tuple(row[c] for c in keep_cols) for row in rs) for rs in rows)
@@ -511,7 +494,7 @@ def _join_rin(ctx: _Ctx, bag: tuple[int, ...], r1, r2):
 
 def _join_states(
     ctx: _Ctx, bag: tuple[int, ...],
-    left: dict[TwState, tuple], right: dict[TwState, tuple], counter: list[int],
+    left: dict[TwState, tuple], right: dict[TwState, tuple],
 ) -> dict[TwState, tuple]:
     h, k = ctx.h, len(bag)
     edges_s = ctx.bag_edges(bag)
@@ -525,9 +508,10 @@ def _join_states(
     out: dict[TwState, tuple] = {}
     for lkey in sorted(left):
         for rkey in by_p_right.get(lkey.p, ()):
-            _count(ctx, counter, "join")
+            ctx.count("join")
             # both sides charged the bag edges' moves
-            moves = lkey.moves + rkey.moves - sum(ctx.images(e)[i] for e, i in zip(edges_s, lkey.p))
+            shared = sum(len(ctx.images(e)[i]) for e, i in zip(edges_s, lkey.p))
+            moves = lkey.moves + rkey.moves - shared
             if moves > ctx.zeta:
                 continue
             rin = stitch(lkey.r_in, rkey.r_in)
@@ -554,73 +538,62 @@ class _Node(NamedTuple):
 _LEAF = _Node((), {TwState((), (), (0,), 0): ()}, ())
 
 
-def _forget(ctx: _Ctx, node: _Node, u: int, counter: list[int]) -> _Node:
+def _forget(ctx: _Ctx, node: _Node, u: int) -> _Node:
     bag = tuple(v for v in node.bag if v != u)
-    return _Node(bag, _forget_states(ctx, bag, u, node.bag, node.states, counter), (node,))
+    return _Node(bag, _forget_states(ctx, bag, u, node.bag, node.states), (node,))
 
 
-def _reshape(ctx: _Ctx, node: _Node, want: frozenset[int], counter: list[int]) -> _Node:
+def _reshape(ctx: _Ctx, node: _Node, want: frozenset[int]) -> _Node:
     """Forget the bag's vertices that are not in ``want``, then introduce the
     missing ones, each in sorted order."""
     for u in sorted(set(node.bag) - want):
-        node = _forget(ctx, node, u, counter)
+        node = _forget(ctx, node, u)
     for u in sorted(want - set(node.bag)):
         bag = tuple(sorted(node.bag + (u,)))
-        node = _Node(bag, _introduce_states(ctx, bag, u, node.bag, node.states, counter), (node,))
+        node = _Node(bag, _introduce_states(ctx, bag, u, node.bag, node.states), (node,))
     return node
 
 
-def _side(
-    ctx: _Ctx, decomp: TreeDecomposition, sides: dict[tuple, _Node],
-    c: int, parent: int, counter: list[int],
-) -> _Node:
+def _side(ctx: _Ctx, c: int, parent: int) -> _Node:
     """The evaluated nice subtree of decomposition node c seen from its
     neighbour ``parent``, topped by parent's bag (by c's bag at the root,
     parent -1): a leaf with c's bag introduced if c has no other neighbour,
     else every other neighbour's side, joined in adjacency order; then
-    reshaped to parent's bag.  Memoised in ``sides`` by the link, so every
-    source and every orientation of parent shares it."""
-    node = sides.get((c, parent))
+    reshaped to parent's bag.  Memoised in ``ctx.sides`` by the link, so
+    every source and every orientation of parent shares it."""
+    node = ctx.sides.get((c, parent))
     if node is not None:
         return node
-    bag = decomp.bags[c]
-    neighbours = [b if a == c else a for a, b in decomp.links if c in (a, b)]
-    arms = [
-        _side(ctx, decomp, sides, x, c, counter) for x in neighbours if x != parent
-    ] or [_reshape(ctx, _LEAF, bag, counter)]
+    bags, links = ctx.decomp.bags, ctx.decomp.links
+    neighbours = [b if a == c else a for a, b in links if c in (a, b)]
+    arms = [_side(ctx, x, c) for x in neighbours if x != parent] or [_reshape(ctx, _LEAF, bags[c])]
     node = arms[0]
     for arm in arms[1:]:
-        states = _join_states(ctx, node.bag, node.states, arm.states, counter)
+        states = _join_states(ctx, node.bag, node.states, arm.states)
         node = _Node(node.bag, states, (node, arm))
     if parent >= 0:
-        node = _reshape(ctx, node, decomp.bags[parent], counter)
-    sides[c, parent] = node
+        node = _reshape(ctx, node, bags[parent])
+    ctx.sides[c, parent] = node
     return node
 
 
-def _solve_for_source(
-    ctx: _Ctx, decomp: TreeDecomposition, sides: dict[tuple, _Node],
-    source: int, counter: list[int],
-) -> Optional[list]:
+def _solve_for_source(ctx: _Ctx, source: int) -> Optional[list]:
     """Moved-appearance records of the first accepted state of the first bag
     holding the source, forgotten down to {source}; or None.  Each forget is
-    memoised in ``sides`` by (that bag, its result), which fixes the chain
-    before it, so sources rooted at the same bag share their first forgets."""
-    root0 = next(i for i, bag in enumerate(decomp.bags) if source in bag)
-    root = _side(ctx, decomp, sides, root0, -1, counter)
+    memoised in ``ctx.sides`` by (that bag, its result), which fixes the
+    chain before it, so sources rooted at the same bag share their first
+    forgets."""
+    root0 = next(i for i, bag in enumerate(ctx.decomp.bags) if source in bag)
+    root = _side(ctx, root0, -1)
     for u in sorted(set(root.bag) - {source}):
         key = (root0, tuple(v for v in root.bag if v != u))
-        root = sides[key] = sides.get(key) or _forget(ctx, root, u, counter)
+        root = ctx.sides[key] = ctx.sides.get(key) or _forget(ctx, root, u)
     # the source departs at time 0
     accepted = next((key for key in sorted(root.states) if key.r_below[0] >= ctx.h - 1), None)
     if accepted is None:
         return None
     images = sorted(_collect_images(ctx, root, accepted).items())
-    labels = ctx.g.labels
-    return [
-        r for e, image in images
-        for r in matching_records(e, labels[ctx.g.edge_index[e]], image, ctx.delta)
-    ]
+    return [(e, a, b) for e, image in images for a, b in ctx.images(e)[image]]
 
 
 def _collect_images(ctx: _Ctx, root: _Node, root_key: TwState) -> dict[Edge, tuple[int, ...]]:
@@ -647,11 +620,9 @@ def solve_trlp_treewidth(
     evaluated node counted once."""
     g, shift = compress_time(inst.graph, inst.delta)
     validate_decomposition(g.n, g.edges, decomp)
-    ctx = _Ctx(replace(inst, graph=g), caps)
-    sides: dict[tuple, _Node] = {}
-    counter = [0]
+    ctx = _Ctx(replace(inst, graph=g), caps, decomp)
     for source in range(g.n):
-        records = _solve_for_source(ctx, decomp, sides, source, counter)
+        records = _solve_for_source(ctx, source)
         if records is not None:
             return _certified_yes(inst, "treewidth", source, records, shift)
     return SolveResult(False, "treewidth")

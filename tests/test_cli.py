@@ -214,11 +214,23 @@ def test_gen_sat_tsep_reads_clauses_across_lines(runner, tmp_path):
     [
         ("domset", "n 3\ne 0 1\nx 1 2\n", ["-r", "1"], "line 3: unknown line kind 'x'"),
         ("domset", "n 3\ne 0\n", ["-r", "1"], "line 2: 'e' line too short"),
+        ("domset", "n 3\ne 1 1\n", ["-r", "1"], "line 2: self-loop on vertex 1"),
+        ("domset", "n 3\ne 0 1\ne 1 0\n", ["-r", "1"], "line 3: duplicate edge (0,1)"),
+        ("domset", "n 3\ne 0 1\ne 2 3\n", ["-r", "1"], "line 3: vertex id out of range on edge (2,3)"),
+        ("domset", "n 3\ne -1 2\n", ["-r", "1"], "line 2: vertex id out of range on edge (-1,2)"),
+        ("domset", "e 0 1\nn 3\n", ["-r", "1"], "line 1: edge before 'n' line"),
+        ("domset", "n 3\ne 0 1\nn 4\n", ["-r", "1"], "line 3: repeated 'n' line"),
+        ("domset", "# static\nn -1\n", ["-r", "1"], "line 2: vertex count must be nonnegative"),
         ("domset", FIG_STATIC, ["-r", "0"], "r must be >= 1"),
         ("sat-tsep", "p cnf 1 1\n1 x 0\n", [], "invalid literal for int() with base 10: 'x'"),
         ("sat-tfaep", "p cnf\n1 0\n", [], "problem line 'p cnf' has no variable count"),
     ],
-    ids=["domset-kind", "domset-short", "domset-r0", "tsep-literal", "tfaep-problem-line"],
+    ids=[
+        "domset-kind", "domset-short", "domset-loop", "domset-duplicate", "domset-range",
+        "domset-negative", "domset-edge-first", "domset-repeated-n", "domset-negative-n",
+        "domset-r0",
+        "tsep-literal", "tfaep-problem-line",
+    ],
 )
 def test_gen_malformed_input_refused(runner, tmp_path, command, text, extra, reason):
     flag = "-g" if command == "domset" else "-f"

@@ -9,9 +9,9 @@ from temporeach.tgraph import (
     Perturbation,
     PerturbationError,
     TemporalGraph,
+    _minimal_matching,
     apply_perturbation,
     compress_time,
-    matching_records,
     minimal_moves,
     parse_graph,
     parse_perturbation,
@@ -250,7 +250,8 @@ def test_minimal_moves_matches_exhaustive(old, new, delta):
     old, new = tuple(sorted(old)), tuple(sorted(new))
     moves = minimal_moves(old, new, delta)
     assert moves == _all_matchings_min_moves(old, new, delta)
-    records = matching_records((0, 1), old, new, delta)
+    pairs = _minimal_matching(old, new, delta)
+    records = None if pairs is None else tuple(((0, 1), a, b) for a, b in pairs)
     if moves is None:
         assert records is None
         return

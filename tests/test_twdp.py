@@ -103,12 +103,11 @@ def test_decomposition_file_roundtrip():
     assert d2 == d
 
 
-def nice_root(ctx, d, source):
-    """The evaluated root for ``source``: the side of the first bag holding it,
-    reshaped to {source}."""
-    root0 = min(i for i, b in enumerate(d.bags) if source in b)
-    counter = [0]
-    return _reshape(ctx, _side(ctx, d, {}, root0, -1, counter), frozenset({source}), counter)
+def nice_root(ctx, source):
+    """The evaluated root for ``source``: the side of the first bag of the
+    context's decomposition holding it, reshaped to {source}."""
+    root0 = min(i for i, b in enumerate(ctx.decomp.bags) if source in b)
+    return _reshape(ctx, _side(ctx, root0, -1), frozenset({source}))
 
 
 def nice_nodes(root):
@@ -131,7 +130,7 @@ def nice_kind(node):
 def test_nice_node_shapes():
     g = parse_graph("n 3\ne 0 1 1\ne 1 2 1")
     d = TreeDecomposition((frozenset({0, 1}), frozenset({1, 2})), ((0, 1),))
-    root = nice_root(_Ctx(TrlpInstance(g, 1, 1, 2), WorkCaps()), d, 0)
+    root = nice_root(_Ctx(TrlpInstance(g, 1, 1, 2), WorkCaps(), d), 0)
     assert root.bag == (0,)
     nodes = nice_nodes(root)
     assert {nice_kind(node) for node in nodes} <= {"leaf", "introduce", "forget", "join"}
@@ -160,7 +159,7 @@ def test_nice_node_shapes():
 def test_nice_root_single_vertex():
     g = TemporalGraph(1, (), ())
     d = TreeDecomposition((frozenset({0}),), ())
-    assert nice_root(_Ctx(TrlpInstance(g, 1, 0, 1), WorkCaps()), d, 0).bag == (0,)
+    assert nice_root(_Ctx(TrlpInstance(g, 1, 0, 1), WorkCaps(), d), 0).bag == (0,)
 
 
 def test_nice_root_source_elsewhere():
@@ -169,16 +168,16 @@ def test_nice_root_source_elsewhere():
     d = TreeDecomposition(
         (frozenset({0, 1}), frozenset({1, 2}), frozenset({2, 3})), ((0, 1), (1, 2))
     )
-    ctx = _Ctx(TrlpInstance(g, 1, 1, 2), WorkCaps())
+    ctx = _Ctx(TrlpInstance(g, 1, 1, 2), WorkCaps(), d)
     for source in range(4):
-        assert nice_root(ctx, d, source).bag == (source,)
+        assert nice_root(ctx, source).bag == (source,)
 
 
 def test_leaf_state_shape():
     g = parse_graph("n 2\ne 0 1 1")
     inst = TrlpInstance(g, 1, 1, 2)
     d = decompose_exact_small(2, g.edges)
-    root = nice_root(_Ctx(inst, WorkCaps()), d, 0)
+    root = nice_root(_Ctx(inst, WorkCaps(), d), 0)
     leaves = [node for node in nice_nodes(root) if nice_kind(node) == "leaf"]
     assert leaves
     for leaf in leaves:
@@ -191,7 +190,8 @@ def test_introduce_isolated_vertex_rows():
     # introducing a vertex with no bag edges: its own row is the trivial one
     g = TemporalGraph(2, (), ())
     inst = TrlpInstance(g, 1, 0, 1)
-    node = _reshape(_Ctx(inst, WorkCaps()), _LEAF, frozenset({0}), [0])
+    d = TreeDecomposition((frozenset({0, 1}),), ())
+    node = _reshape(_Ctx(inst, WorkCaps(), d), _LEAF, frozenset({0}))
     assert node.bag == (0,) and node.children == (_LEAF,)
     assert len(node.states) == 1
     (s,) = node.states
@@ -211,8 +211,8 @@ def test_introduce_arrivals_match_relabelled_graph(text):
     g = parse_graph(text)
     inst = TrlpInstance(g, 1, 3, 3)
     d = TreeDecomposition((frozenset({0, 1, 2}),), ())
-    ctx = _Ctx(inst, WorkCaps())
-    top = _side(ctx, d, {}, 0, -1, [0])
+    ctx = _Ctx(inst, WorkCaps(), d)
+    top = _side(ctx, 0, -1)
     assert top.bag == (0, 1, 2) and nice_kind(top) == "introduce"
     assert len({s.p for s in top.states}) > 20
     for state in top.states:
@@ -244,7 +244,7 @@ def test_forget_child_index_inserts_u_digit():
 def test_join_fixpoint(monkeypatch):
     g = C4
     inst = TrlpInstance(g, 1, 2, 4)
-    ctx = _Ctx(inst, WorkCaps())
+    ctx = _Ctx(inst, WorkCaps(), decompose_exact_small(4, g.edges))
     bag = (0, 1, 2)
     horizon = ctx.horizon
     inf = ctx.inf
@@ -400,16 +400,16 @@ def test_root_chain_forgets_run_once(monkeypatch):
     seen = []
     forget = twdp._forget_states
 
-    def recorded(ctx, bag, u, child_bag, child_states, counter):
+    def recorded(ctx, bag, u, child_bag, child_states):
         seen.append((id(child_states), u))
-        return forget(ctx, bag, u, child_bag, child_states, counter)
+        return forget(ctx, bag, u, child_bag, child_states)
 
     monkeypatch.setattr(twdp, "_forget_states", recorded)
     d = decompose_exact_small(4, C4.edges)
     assert frozenset({0, 1, 2}) in d.bags
-    ctx, sides = _Ctx(TrlpInstance(C4, 1, 0, 4), WorkCaps()), {}
+    ctx = _Ctx(TrlpInstance(C4, 1, 0, 4), WorkCaps(), d)
     for source in range(4):
-        assert twdp._solve_for_source(ctx, d, sides, source, [0]) is None
+        assert twdp._solve_for_source(ctx, source) is None
     assert len(seen) == len(set(seen)), seen
 
 
@@ -420,9 +420,9 @@ def test_root_moves_charge_every_edge_once():
     for inst in micro_tw_instances(12):
         g = inst.graph
         d = decompose_exact_small(g.n, g.edges)
-        ctx = _Ctx(inst, WorkCaps())
+        ctx = _Ctx(inst, WorkCaps(), d)
         for source in range(g.n):
-            root = nice_root(ctx, d, source)
+            root = nice_root(ctx, source)
             for state in root.states:
                 if state.r_below[0] < inst.h - 1:
                     continue
