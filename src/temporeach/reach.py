@@ -110,18 +110,19 @@ def reach_set(g: TemporalGraph, source: int) -> frozenset[int]:
 SWEEP_BITS = 1 << 16  # bits per vertex in one chunk of a SubsetSweep
 
 
-def _sweep(fwd: list[int], layers: dict, masked: Optional[dict] = None) -> list[int]:
+def _sweep(fwd: list[int], layers: dict, masked: dict) -> list[int]:
     """Turn ``fwd[u]``, u's own bits, into the set u reaches.  ``layers`` maps a
     time to the edges (u, v) active then, ``masked`` (some of its times) to (u,
-    v, mask) active only in mask's fields.  Each layer reads the sets as they
-    were before it, so journeys stay strict."""
+    v, mask) active only in mask's fields.  Each layer, masked pairs included,
+    reads one snapshot of the sets taken before it, so journeys stay strict."""
     for t in sorted(layers, reverse=True):
-        before = [(u, fwd[v], v, fwd[u]) for u, v in layers[t]]
-        if masked and t in masked:
-            before += [(u, fwd[v] & m, v, fwd[u] & m) for u, v, m in masked[t]]
-        for u, fv, v, fu in before:
-            fwd[u] |= fv
-            fwd[v] |= fu
+        before = fwd.copy()
+        for u, v in layers[t]:
+            fwd[u] |= before[v]
+            fwd[v] |= before[u]
+        for u, v, m in masked.get(t, ()):
+            fwd[u] |= before[v] & m
+            fwd[v] |= before[u] & m
     return fwd
 
 
@@ -140,7 +141,7 @@ def reach_counts(g: TemporalGraph, delta: int = 0) -> list[int]:
     for e, ts in zip(g.edges, _windows(g, delta) if delta else g.labels):
         for t in ts:
             layers.setdefault(t, []).append(e)
-    return [bits.bit_count() for bits in _sweep([1 << v for v in range(g.n)], layers)]
+    return [bits.bit_count() for bits in _sweep([1 << v for v in range(g.n)], layers, {})]
 
 
 class SubsetSweep:

@@ -216,10 +216,10 @@ def solve_trlp(
 ) -> SolveResult:
     """Run ``strategy``, one of ``STRATEGIES``, or under ``auto`` each of them
     in that order, skipping any that does not apply or exceeds its cap, and
-    refuse past the last.  A runner answers or refuses when forced; under
-    auto it returns None where it does not apply.  There the treewidth DP
-    needs a decomposition of width <= ``TW_MAX_WIDTH``, given or found for
-    n <= 20."""
+    refuse past the last with each cap's reason.  A runner answers or refuses
+    when forced; under auto it returns None where it does not apply.  There
+    the treewidth DP needs a decomposition of width <= ``TW_MAX_WIDTH``, given
+    or found for n <= 20."""
     from . import testkit, treedp, twdp  # deferred: they import this module's types
 
     g, h = inst.graph, inst.h
@@ -251,11 +251,13 @@ def solve_trlp(
         if strategy not in runners:
             raise ValueError(f"unknown strategy {strategy!r}")
         return runners[strategy](False)
+    refusals = []
     for name in STRATEGIES:
         try:
             res = runners[name](True)
-        except CapExceeded:
+        except CapExceeded as exc:
+            refusals.append(f"{name}: {exc}")
             continue
         if res is not None:
             return res
-    raise CapExceeded("instance too large for exact solve")
+    raise CapExceeded(f"instance too large for exact solve ({'; '.join(refusals)})")

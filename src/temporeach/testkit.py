@@ -9,18 +9,21 @@ set, lexicographic targets); the first accepted perturbation is the witness.
 
 The scan keeps one label array, one entry per edge, and one mode per
 appearance of the scanned edges: at its label, active across its whole
-±delta window, or moved to a target.  Per moved-set size s, it walks the
-appearances depth first, trying "move this one" before "keep it": that visits
-the moved sets in the lexicographic order of ``itertools.combinations``.
-Each step changes one appearance's mode and re-sorts only that edge's labels;
-backtracking changes it back.  A subtree may be skipped only when a
-relaxation covering it already fails the test.  In a relaxation, the
+±delta window, or moved to a target; all start windowed.  Per moved-set size
+s, it walks the appearances depth first, trying "move this one" before "keep
+it": that visits the moved sets in the lexicographic order of
+``itertools.combinations``.  Each step changes one appearance's mode and
+re-sorts only that edge's labels; backtracking changes it back.  A leaf (a
+full moved set) sets the later appearances to their labels by slices, copying
+later edges' labels from the input graph and re-sorting the edge split at its
+start, and restores the saved arrays after.  A subtree may be skipped only
+when a relaxation covering it already fails the test.  In a relaxation, the
 appearances chosen so far, and the undecided ones while fewer than s are
-chosen, are windowed; every other appearance keeps its label.  Every concrete
-completion in the subtree uses a subset of that relaxation's time-edges, and
-more time-edges never hurt reachability or eccentricity, so none of them can
-pass.  Each graph the test sees is an immutable snapshot of the array that
-shares the input graph's edges, edge index and adjacency.
+chosen, are windowed; every other appearance keeps its label.  Every
+concrete completion in the subtree uses a subset of that relaxation's
+time-edges, and more time-edges never hurt reachability or eccentricity, so
+none of them can pass.  Each graph the test sees is an immutable snapshot of
+the array that shares the input graph's edges, edge index and adjacency.
 """
 
 from __future__ import annotations
@@ -188,8 +191,9 @@ def scan_perturbations(
     apps = _appearances(g, eset)
     windows = [window(t, delta) for _ei, t in apps]
     # what each appearance adds to its edge: (label,), its window range, or
-    # (target,); all start at their label, as in g.labels
-    slots: list = [(t,) for _ei, t in apps]
+    # (target,); all start windowed
+    fixed = [(t,) for _ei, t in apps]
+    slots: list = windows[:]
     edge_slots = {  # an edge's appearances are adjacent in apps
         ei: slice(a, a + len(g.labels[ei]))
         for a, (ei, t) in enumerate(apps) if t == g.labels[ei][0]
@@ -202,21 +206,28 @@ def scan_perturbations(
         ei = apps[a][0]
         labels[ei] = tuple(sorted(set().union(*slots[edge_slots[ei]])))
 
+    for edge in edge_slots.values():
+        put(edge.start, windows[edge.start])
+
     def view() -> TemporalGraph:
         return g._relabelled(tuple(labels))
 
     def choose(start: int, need: int) -> bool:
         # chosen appearances and apps[start:] are windowed, the rest at their label
         if need == 0:
-            for a in range(start, len(apps)):
-                put(a, (apps[a][1],))
+            # apps[start:] at their labels until the targets are assigned
+            ei = apps[start][0] if start < len(apps) else len(labels)
+            saved = slots[start:], labels[ei:]
+            slots[start:] = fixed[start:]
+            labels[ei + 1:] = g.labels[ei + 1:]
+            if start < len(apps):
+                put(start, fixed[start])
             stop = (keep is None or not chosen or keep(view())) and assign(0)
-            for a in range(start, len(apps)):
-                put(a, windows[a])
+            slots[start:], labels[ei:] = saved
             return stop
         for i in range(start, len(apps) - need + 1):
             if i > start:
-                put(i - 1, (apps[i - 1][1],))
+                put(i - 1, fixed[i - 1])
                 # with exactly `need` left, the one moved set below makes this
                 # same check itself
                 if keep is not None and len(apps) - i > need and not keep(view()):
@@ -248,7 +259,6 @@ def scan_perturbations(
         put(a, windows[a])
         return False
 
-    # size 0 leaves every appearance windowed, as the larger sizes expect
     return any(choose(0, size) for size in range(min(zeta, len(apps)) + 1))
 
 

@@ -249,6 +249,8 @@ def parse_perturbation(text: str | bytes) -> Perturbation:
                 header[kind] = int(parts[1])
             except ValueError:
                 raise FormatError(line_no, f"bad {kind} value") from None
+            if header[kind] < 0:
+                raise FormatError(line_no, f"{kind} must be nonnegative")
         elif kind == "p":
             if len(parts) != 5:
                 raise FormatError(line_no, "'p' line needs u v old new")

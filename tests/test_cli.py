@@ -6,6 +6,8 @@ import pytest
 from click.testing import CliRunner, _NamedTextIOWrapper
 
 from temporeach.cli import main
+from temporeach.solvers import xp_work_estimate
+from temporeach.testkit import enumeration_size
 from temporeach.tgraph import parse_graph
 
 PATH_TG = "n 3\ne 0 1 2\ne 1 2 1\n"
@@ -57,6 +59,28 @@ def test_trlp_refusal_exit_two(runner, tmp_path):
     )
     assert res.exit_code == 2
     assert res.output.startswith("REFUSED ")
+
+
+def test_auto_refusal_names_every_cap(runner, tmp_path):
+    # n = 21, each vertex joined to the three next ones around a circle
+    # (degree 6, no tree), h = 8 > 6 + 1 and zeta = 6 < h - 1: degree,
+    # treewidth (n > 20), xp and the oracle each refuse, bigzeta and tree do
+    # not apply
+    edges = sorted({tuple(sorted((v, (v + d) % 21))) for v in range(21) for d in (1, 2, 3)})
+    text = "n 21\n" + "".join(f"e {u} {v} 5\n" for u, v in edges)
+    gpath = write(tmp_path, "g.tg", text)
+    g = parse_graph(text)
+    xp_ops = xp_work_estimate(g, 6)
+    space = enumeration_size(g.num_time_edges(), 1, 6)
+    res = runner.invoke(main, ["trlp", "-g", gpath, "--delta", "1", "--zeta", "6", "--h", "8"])
+    assert res.exit_code == 2, res.output
+    assert res.output == (
+        "REFUSED instance too large for exact solve ("
+        "degree: degree bound does not apply: h > max degree + 1; "
+        "treewidth: exact treewidth guard: at most 20 vertices; "
+        f"xp: xp enumeration needs ~{xp_ops} sweep operations, cap is 100000000; "
+        f"oracle: oracle space ~{space} exceeds cap 10000000)\n"
+    )
 
 
 def test_trlp_json_mirrors_text(runner, tmp_path):
@@ -152,6 +176,18 @@ def test_verify_refuses_repeated_delta(runner, tmp_path):
     res = runner.invoke(main, ["verify", "-g", gpath, "-p", ppath, "--source", "0", "--h", "3"])
     assert res.exit_code == 2, res.output
     assert res.output == "REFUSED line 3: repeated 'delta' line\n"
+
+
+@pytest.mark.parametrize("header, line", [
+    ("delta -1\nzeta 1\n", "line 1: delta must be nonnegative"),
+    ("delta 1\nzeta -2\n", "line 2: zeta must be nonnegative"),
+], ids=["delta", "zeta"])
+def test_verify_refuses_negative_header(runner, tmp_path, header, line):
+    gpath = write(tmp_path, "g.tg", PATH_TG)
+    ppath = write(tmp_path, "p.txt", header + "p 0 1 2 1\n")
+    res = runner.invoke(main, ["verify", "-g", gpath, "-p", ppath, "--source", "0", "--h", "3"])
+    assert res.exit_code == 2, res.output
+    assert res.output == f"REFUSED {line}\n"
 
 
 def test_ecc_command_both_exits(runner, tmp_path):

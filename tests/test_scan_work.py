@@ -5,8 +5,10 @@ graphs it hands out changes these.
 
 ``scan_work.json`` holds the pinned values.  It was written by running this
 file as a script (``PYTHONPATH=src python tests/test_scan_work.py``) before
-the scan moved to a per-edge label array; rerun it only for a change that is
-meant to alter the scan's work, and say so.
+the scan moved to a per-edge label array; the ``-eset`` rows, scans restricted
+to every other edge, were added the same way before a scan leaf started
+restoring its labels by slices.  Rerun it only for a change that is meant to
+alter the scan's work, and say so.
 """
 
 import hashlib
@@ -25,6 +27,7 @@ from temporeach.testkit import (
     sat_to_tfaep,
     sat_to_tsep,
 )
+from temporeach.reach import reach_counts
 from temporeach.solvers import TrlpInstance
 
 PINNED = Path(__file__).with_name("scan_work.json")
@@ -70,6 +73,22 @@ def random_case(seed: int, profile: str):
     return run
 
 
+def eset_case(seed: int, profile: str):
+    """A scan over every other edge only, pruned and stopped by a reach
+    threshold: more reachable (source, vertex) pairs than the unperturbed graph."""
+    inst = random_instance(seed, profile)
+    g, delta, zeta = inst.graph, inst.delta, max(inst.zeta, 2)
+    base = sum(reach_counts(g))
+
+    def gains(graph) -> bool:
+        return sum(reach_counts(graph)) > base
+
+    return lambda: testkit.scan_perturbations(
+        g, delta, zeta, eset=g.edges[seed % 2::2], keep=gains,
+        on_complete=lambda p, pg: gains(pg),
+    )
+
+
 GADGETS = {
     "tsep-sat": sat_to_tsep(CnfFormula(2, ((1,), (-2,))), 4, 1),
     "tsep-unsat": sat_to_tsep(CnfFormula(1, ((1,), (1,), (-1,))), 4, 1),
@@ -84,6 +103,9 @@ def measure_all() -> dict:
         for seed in range(60)
         for profile in PROFILES
     }
+    for seed in range(60):
+        for profile in PROFILES:
+            out[f"{seed}-{profile}-eset"] = logged(eset_case(seed, profile))
     for name, inst in GADGETS.items():
         out[name] = logged(lambda: oracle_ecc(inst))
     return out
