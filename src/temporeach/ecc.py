@@ -116,15 +116,15 @@ def measure(g: TemporalGraph, source: int, variant: str) -> Optional[int]:
     return shortest_ecc(g, source) if variant == "shortest" else fastest_ecc(g, source)
 
 
-def ecc_within(g: TemporalGraph, source: int, k: int, variant: str) -> bool:
-    """Decision form of ``measure``; for the hop variant only k layers are
-    expanded, which keeps enumeration-style sweeps cheap."""
+def ecc_within(g: TemporalGraph, source: int, k: int, variant: str) -> Optional[int]:
+    """``measure`` when it is at most k, else None; for the hop variant only k
+    layers are expanded, which keeps enumeration-style sweeps cheap."""
     if k < 0:
-        return False
+        return None
     if variant == "fastest":
         val = fastest_ecc(g, source)
-        return val is not None and val <= k
-    return _hop_depth(g, source, k) is not None
+        return val if val is not None and val <= k else None
+    return _hop_depth(g, source, k)
 
 
 def solve_ecc_perturbed(inst: EccInstance, caps: WorkCaps = DEFAULT_CAPS) -> SolveResult:

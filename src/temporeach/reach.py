@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Optional
 
-from .tgraph import TemporalGraph, next_expanded_after, next_label_after, window
+from .tgraph import TemporalGraph, _useful_delta, next_expanded_after, next_label_after, window
 
 ALL_EDGES = "all"
 
@@ -127,10 +127,9 @@ def _sweep(fwd: list[int], layers: dict, masked: dict) -> list[int]:
 
 
 def _windows(g: TemporalGraph, delta: int) -> list[set[int]]:
-    """Each edge's times within ±delta of one of its labels, clipped at 1.  A
-    delta above lifetime + n acts as lifetime + n: every time in [1, T+n+1]
-    then lies in every window, and no journey needs a later one."""
-    delta = min(delta, g.lifetime + g.n)
+    """Each edge's times within ±delta (at most ``_useful_delta``) of one of
+    its labels, clipped at 1."""
+    delta = _useful_delta(g, delta)
     return [{w for t in ts for w in window(t, delta)} for ts in g.labels]
 
 

@@ -7,6 +7,14 @@ non-identity target inside its ±delta window that keeps the edge's labels
 pairwise distinct.  Enumeration order is (moved-set size, lexicographic moved
 set, lexicographic targets); the first accepted perturbation is the witness.
 
+All four oracles are one search, ``_least_cost``: it checks the cap, runs
+the scan and keeps the least cost of a completed candidate.  A reach costs
+minus the best count of any source, and an eccentricity costs itself, which
+``ecc.ecc_within`` measures only up to the bar; a relaxation above the bar is
+pruned.  The threshold oracles fix the bar at h or k and stop at the first
+witness; the optimum oracles set it one below the best so far and stop at n
+reached or eccentricity 0.
+
 The scan keeps one label array, one entry per edge, and one mode per
 appearance of the scanned edges: at its label, active across its whole
 ±delta window, or moved to a target; all start windowed.  Per moved-set size
@@ -30,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from dataclasses import dataclass
 from math import comb
 from typing import Callable, Iterable, Iterator, Optional
@@ -287,17 +296,41 @@ def enumerate_perturbations(
                 yield p, pg
 
 
-def _scan_sources(g: TemporalGraph, h: int) -> tuple[Optional[int], int]:
-    """(smallest source reaching >= h or None, its count or the best count)."""
-    counts = reach_counts(g)
-    src = next((s for s, c in enumerate(counts) if c >= h), None)
-    return src, counts[src] if src is not None else max(counts, default=0)
-
-
-def _check_cap(g: TemporalGraph, delta: int, zeta: int, caps: WorkCaps) -> None:
+def _least_cost(
+    g: TemporalGraph, delta: int, zeta: int, caps: WorkCaps,
+    cost: Callable[[TemporalGraph, int], Optional[int]], goal: int, ratchet: bool,
+) -> tuple[Optional[int], Optional[tuple[Perturbation, TemporalGraph]]]:
+    """(least cost, or None if no candidate met its bar; the first candidate
+    at it, with its graph), stopping at a cost <= ``goal``.  ``cost(graph,
+    bar)`` is None when the cost is above ``bar``, which is ``goal`` or, with
+    ``ratchet``, one below the least cost so far (at first ``sys.maxsize``)."""
     est = enumeration_size(g.num_time_edges(), delta, zeta)
     if est > caps.oracle_evals:
         raise CapExceeded(f"oracle space ~{est} exceeds cap {caps.oracle_evals}")
+    bar = sys.maxsize if ratchet else goal
+    best: Optional[int] = None
+    found = None
+
+    def keep(graph: TemporalGraph) -> bool:
+        c = cost(graph, bar)
+        return c is not None and c <= bar
+
+    def complete(p: Perturbation, pg: TemporalGraph) -> bool:
+        nonlocal bar, best, found
+        c = cost(pg, bar)
+        if c is not None and (best is None or c < best):
+            best, found = c, (p, pg)
+            if ratchet:
+                bar = c - 1
+        return best is not None and best <= goal
+
+    scan_perturbations(g, delta, zeta, keep=keep, on_complete=complete)
+    return best, found
+
+
+def _reach_cost(graph: TemporalGraph, _bar: int) -> int:
+    """Minus the best per-source reach count."""
+    return -max(reach_counts(graph), default=0)
 
 
 def oracle_trlp(inst: TrlpInstance, caps: WorkCaps = DEFAULT_CAPS) -> SolveResult:
@@ -307,30 +340,12 @@ def oracle_trlp(inst: TrlpInstance, caps: WorkCaps = DEFAULT_CAPS) -> SolveResul
     On a no, reach_count is only the best count among the candidates the
     scan visited: pruned branches are never completed, so it can fall below
     the true optimum (``oracle_trlp_max_reach`` gives that)."""
-    g = inst.graph
-    _check_cap(g, inst.delta, inst.zeta, caps)
-    found: list = []
-    best = [0]
-
-    def accept(p: Perturbation, pg: TemporalGraph) -> bool:
-        src, count = _scan_sources(pg, inst.h)
-        best[0] = max(best[0], count)
-        if src is not None:
-            found.append((p, src))
-            return True
-        return False
-
-    scan_perturbations(
-        g,
-        inst.delta,
-        inst.zeta,
-        keep=lambda relaxed: _scan_sources(relaxed, inst.h)[0] is not None,
-        on_complete=accept,
-    )
-    if found:
-        p, src = found[0]
-        return _certified_yes(inst, "oracle", src, p.records)
-    return SolveResult(False, "oracle", reach_count=best[0])
+    g, h = inst.graph, inst.h
+    best, (p, pg) = _least_cost(g, inst.delta, inst.zeta, caps, _reach_cost, -h, False)
+    if best > -h:
+        return SolveResult(False, "oracle", reach_count=-best)
+    src = next(s for s, c in enumerate(reach_counts(pg)) if c >= h)
+    return _certified_yes(inst, "oracle", src, p.records)
 
 
 def oracle_trlp_max_reach(
@@ -340,80 +355,35 @@ def oracle_trlp_max_reach(
     reach; answers a whole h-sweep with one enumeration.  The pruning test
     ratchets: branches are skipped only when even their window relaxation
     cannot beat the best already found."""
-    _check_cap(g, delta, zeta, caps)
-    best = [0]
-
-    def visit(_p: Perturbation, pg: TemporalGraph) -> bool:
-        best[0] = max(best[0], *reach_counts(pg))
-        return best[0] == g.n
-
-    scan_perturbations(
-        g,
-        delta,
-        zeta,
-        keep=lambda relaxed: max(reach_counts(relaxed)) > best[0],
-        on_complete=visit,
-    )
-    return best[0]
+    return -_least_cost(g, delta, zeta, caps, _reach_cost, -g.n, True)[0]
 
 
 def oracle_ecc(inst: "eccmod.EccInstance", caps: WorkCaps = DEFAULT_CAPS) -> SolveResult:
     """Exact eccentricity-threshold decision by full enumeration."""
-    g = inst.graph
-    _check_cap(g, inst.delta, inst.zeta, caps)
+    def cost(graph: TemporalGraph, bar: int) -> Optional[int]:
+        return eccmod.ecc_within(graph, inst.source, bar, inst.variant)
 
-    def ok(graph: TemporalGraph) -> bool:
-        return eccmod.ecc_within(graph, inst.source, inst.k, inst.variant)
-
-    found: list = []
-
-    def accept(p: Perturbation, pg: TemporalGraph) -> bool:
-        if ok(pg):
-            found.append((p, pg))
-            return True
-        return False
-
-    scan_perturbations(g, inst.delta, inst.zeta, keep=ok, on_complete=accept)
-    if found:
-        p, pg = found[0]
-        val = eccmod.measure(pg, inst.source, inst.variant)
-        return SolveResult(
-            True,
-            "oracle",
-            source=inst.source,
-            reach_count=len(reach_set(pg, inst.source)),
-            perturbation=p,
-            ecc_value=val,
-        )
-    return SolveResult(False, "oracle", source=inst.source)
+    best, found = _least_cost(inst.graph, inst.delta, inst.zeta, caps, cost, inst.k, False)
+    if found is None:
+        return SolveResult(False, "oracle", source=inst.source)
+    p, pg = found
+    return SolveResult(True, "oracle", source=inst.source, perturbation=p, ecc_value=best,
+                       reach_count=len(reach_set(pg, inst.source)))
 
 
 def oracle_ecc_min(
-    g: TemporalGraph,
-    source: int,
-    delta: int,
-    zeta: int,
-    variant: str,
+    g: TemporalGraph, source: int, delta: int, zeta: int, variant: str,
     caps: WorkCaps = DEFAULT_CAPS,
 ) -> Optional[int]:
     """Minimum achievable eccentricity over the perturbation space (None if the
     source cannot reach every vertex under any perturbation)."""
-    _check_cap(g, delta, zeta, caps)
-    best: list[Optional[int]] = [None]
+    if not (0 <= source < g.n):
+        raise ValueError("source out of range")
 
-    def improves(graph: TemporalGraph) -> bool:
-        if best[0] is None:
-            return eccmod.measure(graph, source, variant) is not None
-        return eccmod.ecc_within(graph, source, best[0] - 1, variant)
+    def cost(graph: TemporalGraph, bar: int) -> Optional[int]:
+        return eccmod.ecc_within(graph, source, bar, variant)
 
-    def visit(_p: Perturbation, pg: TemporalGraph) -> bool:
-        val = eccmod.measure(pg, source, variant)
-        if val is not None and (best[0] is None or val < best[0]):
-            best[0] = val
-        return best[0] == 0
-
-    scan_perturbations(g, delta, zeta, keep=improves, on_complete=visit)
-    return best[0]
+    return _least_cost(g, delta, zeta, caps, cost, 0, True)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +411,35 @@ def domset_to_trlp(g: StaticGraph, r: int) -> TrlpInstance:
     return TrlpInstance(tg, delta=1, zeta=r, h=2 * n + 1)
 
 
+def _sat_gadget(
+    f: CnfFormula,
+    size: int,
+    walk: Callable[[list[int]], list[tuple[int, int, int]]],
+    hang: Callable[[list[int], bool], tuple[int, int]],
+    k: int,
+    delta: int,
+    variant: str,
+) -> "eccmod.EccInstance":
+    """f's eccentricity gadget from v_s = 0.  Variable i owns the walk v =
+    [v_s, v_{i,1}, ..., v_{i,size}] and the (u, w, time) appearances
+    ``walk(v)``; clause j is one vertex after every walk, joined at the
+    (vertex, time) ``hang(v, positive)`` of each literal.  zeta is the number
+    of edges."""
+    walks = [[0, *range(1 + i * size, 1 + (i + 1) * size)] for i in range(f.num_vars)]
+    timed = [a for v in walks for a in walk(v)]
+    for j, c in enumerate(f.clauses):
+        for lit in c:
+            u, t = hang(walks[abs(lit) - 1], lit > 0)
+            timed.append((u, 1 + f.num_vars * size + j, t))
+    labelled: dict[Edge, set[int]] = {}
+    for u, w, t in timed:
+        labelled.setdefault((min(u, w), max(u, w)), set()).add(t)
+    es = tuple(sorted(labelled))
+    n = 1 + f.num_vars * size + len(f.clauses)
+    tg = TemporalGraph(n, es, tuple(tuple(sorted(labelled[e])) for e in es))
+    return eccmod.EccInstance(tg, source=0, k=k, delta=delta, zeta=len(es), variant=variant)
+
+
 def sat_to_tsep(f: CnfFormula, k: int = 4, delta: int = 1) -> "eccmod.EccInstance":
     """Length-bounded eccentricity gadget: yes-instance iff f is satisfiable.
 
@@ -452,42 +451,18 @@ def sat_to_tsep(f: CnfFormula, k: int = 4, delta: int = 1) -> "eccmod.EccInstanc
     """
     if k < 4 or delta < 1:
         raise ValueError("need k >= 4 and delta >= 1")
-    nv, nc = f.num_vars, len(f.clauses)
+    d = delta
 
-    def chain(i: int, ell: int) -> int:  # v_{i,ell}, ell in 1..k
-        return 1 + i * k + (ell - 1)
+    def walk(v: list[int]) -> list[tuple[int, int, int]]:
+        return [(v[ell - 1], v[ell], ell) for ell in range(1, k - 2)] + [
+            (v[k - 4], v[k - 2], 3 * d + k - 2), (v[k - 3], v[k - 2], k - 2),
+            (v[k - 2], v[k - 1], d + k - 1), (v[k - 1], v[k], 3 * d + k),
+        ]
 
-    def clause(j: int) -> int:
-        return 1 + nv * k + j
+    def hang(v: list[int], positive: bool) -> tuple[int, int]:
+        return (v[k - 1], k) if positive else (v[k], 3 * d + k + 1)
 
-    labelled: dict[Edge, set[int]] = {}
-
-    def add(a: int, b: int, t: int) -> None:
-        e = (a, b) if a < b else (b, a)
-        labelled.setdefault(e, set()).add(t)
-
-    for i in range(nv):
-        prev = 0
-        for ell in range(1, k - 3):
-            add(prev, chain(i, ell), ell)
-            prev = chain(i, ell)
-        add(chain(i, k - 4) if k > 4 else 0, chain(i, k - 3), k - 3)
-        add(chain(i, k - 4) if k > 4 else 0, chain(i, k - 2), 3 * delta + k - 2)
-        add(chain(i, k - 3), chain(i, k - 2), k - 2)
-        add(chain(i, k - 2), chain(i, k - 1), delta + k - 1)
-        add(chain(i, k - 1), chain(i, k), 3 * delta + k)
-    for j, c in enumerate(f.clauses):
-        for lit in c:
-            i = abs(lit) - 1
-            if lit > 0:
-                add(chain(i, k - 1), clause(j), k)
-            else:
-                add(chain(i, k), clause(j), 3 * delta + k + 1)
-    es = tuple(sorted(labelled))
-    tg = TemporalGraph(1 + nv * k + nc, es, tuple(tuple(sorted(labelled[e])) for e in es))
-    return eccmod.EccInstance(
-        tg, source=0, k=k, delta=delta, zeta=len(es), variant="shortest"
-    )
+    return _sat_gadget(f, k, walk, hang, k, delta, "shortest")
 
 
 def sat_to_tfaep(f: CnfFormula, k: int = 2, delta: int = 1) -> "eccmod.EccInstance":
@@ -502,37 +477,11 @@ def sat_to_tfaep(f: CnfFormula, k: int = 2, delta: int = 1) -> "eccmod.EccInstan
     """
     if k < 2 or delta < 1:
         raise ValueError("need k >= 2 and delta >= 1")
-    nv, nc = f.num_vars, len(f.clauses)
-
-    def chain(i: int, ell: int) -> int:  # v_{i,ell}, ell in 1..k-1
-        return 1 + i * (k - 1) + (ell - 1)
-
-    def clause(j: int) -> int:
-        return 1 + nv * (k - 1) + j
-
-    labelled: dict[Edge, set[int]] = {}
-
-    def add(a: int, b: int, t: int) -> None:
-        e = (a, b) if a < b else (b, a)
-        labelled.setdefault(e, set()).add(t)
-
-    for i in range(nv):
-        add(0, chain(i, 1), 1)
-        for ell in range(1, k - 1):
-            add(chain(i, ell), chain(i, ell + 1), ell + 1)
-    for j, c in enumerate(f.clauses):
-        for lit in c:
-            i = abs(lit) - 1
-            if lit > 0:
-                add(chain(i, k - 1), clause(j), k + 2 * delta)
-            else:
-                add(chain(i, k - 1), clause(j), k - 1)
-    es = tuple(sorted(labelled))
-    tg = TemporalGraph(
-        1 + nv * (k - 1) + nc, es, tuple(tuple(sorted(labelled[e])) for e in es)
-    )
-    return eccmod.EccInstance(
-        tg, source=0, k=k - 1, delta=delta, zeta=len(es), variant="fastest"
+    return _sat_gadget(
+        f, k - 1,
+        lambda v: [(v[ell - 1], v[ell], ell) for ell in range(1, k)],
+        lambda v, positive: (v[k - 1], k + 2 * delta if positive else k - 1),
+        k - 1, delta, "fastest",
     )
 
 

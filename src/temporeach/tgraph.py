@@ -323,6 +323,13 @@ def window(t: int, delta: int) -> range:
     return range(max(1, t - delta), t + delta + 1)
 
 
+def _useful_delta(g: TemporalGraph, delta: int) -> int:
+    """delta, or lifetime + n if smaller: every time in [1, T+n+1] then lies
+    in every window, and no journey needs a later one (at most n-1 edges
+    follow the last label), so a larger delta reaches nothing more."""
+    return min(delta, g.lifetime + g.n)
+
+
 def _is_tree(n: int, pairs: tuple[Edge, ...]) -> bool:
     """Whether ``pairs`` are the edges of one tree spanning vertices 0..n-1."""
     if len(pairs) != n - 1:

@@ -13,9 +13,10 @@ each total budget across the children's rows to maximise the summed gain.
 
 ``solve_trlp_tree`` is the one entry point.  It answers for every source,
 the first yes in ascending source id winning, and compresses time once:
-the DP runs on ``compress_time``'s copy of the graph, so its time axis has
-horizon <= (distinct labels) * (2*delta+1) + delta whatever the size of the
-labels, and the certificate is mapped back and checked on the original graph.
+the DP runs on ``compress_time``'s copy of the graph with delta capped by
+``_useful_delta``, so its time axis has horizon <= (distinct labels) *
+(2*delta+1) + delta whatever the size of the labels, and <= 2T+n whatever
+delta is; the certificate is mapped back and checked on the original graph.
 
 A vertex's table depends on the root only through its parent p: its subtree
 is its component of T - p, its children are its neighbours other than p in
@@ -32,7 +33,9 @@ from dataclasses import replace
 from typing import Optional
 
 from .solvers import SolveResult, TrlpInstance, _certified_yes, _nearest_origin_label
-from .tgraph import TemporalGraph, _is_tree, compress_time, next_expanded_after, next_label_after
+from .tgraph import (
+    TemporalGraph, _is_tree, _useful_delta, compress_time, next_expanded_after, next_label_after,
+)
 
 # (gain, edge time or None when the child is skipped, moved)
 _Option = tuple[int, Optional[int], bool]
@@ -146,8 +149,9 @@ def solve_trlp_tree(inst: TrlpInstance) -> SolveResult:
     reaches h wins; on a no, reach_count is the best over every source."""
     if not _is_tree(inst.graph.n, inst.graph.edges):
         raise ValueError("underlying graph is not a connected tree")
-    g, shift = compress_time(inst.graph, inst.delta)
-    small = replace(inst, graph=g)
+    delta = _useful_delta(inst.graph, inst.delta)
+    g, shift = compress_time(inst.graph, delta)
+    small = replace(inst, graph=g, delta=delta)
     tables: _Tables = {}
     best = 0
     for source in range(g.n):

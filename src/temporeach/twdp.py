@@ -45,10 +45,11 @@ rows (``_index_map``: per vector, the elementwise minimum of its columns'
 offers, as prefix minima in table order; a forget inserts u's digit with
 ``_insert_digit``), and every count table is one ``itemgetter`` gather.
 
-The DP runs on ``compress_time``'s copy of the graph, so departure and
-arrival times range over 0..horizon with horizon <= (distinct labels) *
-(2*delta+1) + delta whatever the size of the labels; the certificate is mapped
-back and checked on the original graph.
+The DP runs on ``compress_time``'s copy of the graph with delta capped by
+``_useful_delta``, so departure and arrival times range over 0..horizon with
+horizon <= (distinct labels) * (2*delta+1) + delta whatever the size of the
+labels, and <= 2T+n whatever delta is; the certificate is mapped back and
+checked on the original graph, under the instance's delta.
 
 Scoped to micro parameters: the context's candidate count spans the whole
 call, counting each evaluated node once however many sources share it, and
@@ -67,7 +68,9 @@ from typing import Callable, Iterable, NamedTuple, Optional
 
 from .limits import CapExceeded, WorkCaps, DEFAULT_CAPS
 from .solvers import SolveResult, TrlpInstance, _certified_yes
-from .tgraph import Edge, _is_tree, _minimal_matching, _parse_lines, compress_time, window
+from .tgraph import (
+    Edge, _is_tree, _minimal_matching, _parse_lines, _useful_delta, compress_time, window,
+)
 
 
 class DecompositionError(ValueError):
@@ -618,9 +621,10 @@ def solve_trlp_treewidth(
     every side of the decomposition they have in common, and
     ``caps.tw_states`` bounds the candidates of the whole call, each
     evaluated node counted once."""
-    g, shift = compress_time(inst.graph, inst.delta)
+    delta = _useful_delta(inst.graph, inst.delta)
+    g, shift = compress_time(inst.graph, delta)
     validate_decomposition(g.n, g.edges, decomp)
-    ctx = _Ctx(replace(inst, graph=g), caps, decomp)
+    ctx = _Ctx(replace(inst, graph=g, delta=delta), caps, decomp)
     for source in range(g.n):
         records = _solve_for_source(ctx, source)
         if records is not None:

@@ -556,3 +556,85 @@ def test_delta_past_lifetime_plus_n_answers_as_at_it(runner, tmp_path, text):
                 for d in (g.lifetime + g.n, 10**9)
             )
             assert (at_cap.exit_code, at_cap.output) == (huge.exit_code, huge.output), call
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("delta 1 2\nzeta 1\n", "line 1: 'delta' line needs exactly one value"),
+        ("delta 1\nzeta x\n", "line 2: bad zeta value"),
+        ("delta 1\nzeta 1\np 0 1 2\n", "line 3: 'p' line needs u v old new"),
+        ("delta 1\nzeta 1\np 0 1 2 x\n", "line 3: non-integer field on 'p' line"),
+        ("delta 1\nzeta 1\nq 1\n", "line 3: unknown line kind 'q'"),
+        ("delta 1\np 0 1 2 1\n", "line 0: missing delta/zeta header"),
+        ("delta 1\nzeta 1\np 0 2 1 2\n", "record (0, 2) 1->2: no such edge"),
+        ("delta 1\nzeta 1\np 0 1 3 2\n", "record (0, 1) 3->2: 3 is not a label of (0, 1)"),
+        ("delta 1\nzeta 2\np 0 1 2 1\np 0 1 2 3\n",
+         "record (0, 1) 2->3: duplicate record for this appearance"),
+    ],
+    ids=["header-values", "header-value", "p-short", "p-field", "kind", "no-header",
+         "no-edge", "not-a-label", "duplicate"],
+)
+def test_verify_refuses_malformed_perturbation(runner, tmp_path, text, reason):
+    gpath = write(tmp_path, "g.tg", PATH_TG)
+    ppath = write(tmp_path, "p.txt", text)
+    res = runner.invoke(main, ["verify", "-g", gpath, "-p", ppath, "--source", "0", "--h", "3"])
+    assert res.exit_code == 2, res.output
+    assert res.output == f"REFUSED {reason}\n"
+
+
+def test_verify_reads_a_record_with_u_above_v(runner, tmp_path):
+    gpath = write(tmp_path, "g.tg", PATH_TG)
+    outputs = []
+    for record in ("p 2 1 1 3", "p 1 2 1 3"):
+        ppath = write(tmp_path, "p.txt", f"delta 2\nzeta 1\n{record}\n")
+        res = runner.invoke(main, ["verify", "-g", gpath, "-p", ppath, "--source", "0", "--h", "3"])
+        outputs.append((res.exit_code, res.output))
+    assert outputs[0] == outputs[1] == (0, "RESULT VALID\nREACH 3\n")
+
+
+def test_verify_eccentricity_above_k_is_invalid(runner, tmp_path):
+    gpath = write(tmp_path, "g.tg", "n 3\ne 0 1 1\ne 1 2 2\n")
+    ppath = write(tmp_path, "p.txt", "delta 0\nzeta 0\n")
+    args = ["verify", "-g", gpath, "-p", ppath, "--source", "0", "--variant", "shortest"]
+    res = runner.invoke(main, [*args, "-k", "1"])
+    assert res.exit_code == 1
+    assert res.output == "RESULT INVALID\nREASON eccentricity above k=1\nECC 2\n"
+    res = runner.invoke(main, [*args, "-k", "2"])
+    assert (res.exit_code, res.output) == (0, "RESULT VALID\nECC 2\n")
+
+
+@pytest.mark.parametrize("check", [[], ["--variant", "shortest"], ["-k", "2"]],
+                         ids=["neither", "no-k", "no-variant"])
+def test_verify_without_a_threshold_refused(runner, tmp_path, check):
+    gpath = write(tmp_path, "g.tg", PATH_TG)
+    ppath = write(tmp_path, "p.txt", "delta 0\nzeta 0\n")
+    res = runner.invoke(main, ["verify", "-g", gpath, "-p", ppath, "--source", "0", *check])
+    assert res.exit_code == 2
+    assert res.output == "REFUSED need --h or (--variant and -k)\n"
+
+
+def test_json_refusal_line(runner, tmp_path):
+    gpath = write(tmp_path, "g.tg", PATH_TG)
+    res = runner.invoke(main, ["trlp", "-g", gpath, "--delta", "1", "--zeta", "1", "--h", "9", "--json"])
+    assert res.exit_code == 2
+    assert res.output == '{"refused": "h must be in [1, n], got 9"}\n'
+
+
+@pytest.mark.parametrize(
+    "variant, k, code, output",
+    [
+        ("shortest", 2, 0,
+         "ANSWER yes\nSOURCE 0\nECC 2\nREACH 3\nPERTURB 1 2 1 3\nSTRATEGY oracle\n"),
+        ("fastest", 1, 0,
+         "ANSWER yes\nSOURCE 0\nECC 1\nREACH 3\nPERTURB 1 2 1 3\nSTRATEGY oracle\n"),
+        ("shortest", 1, 1, "ANSWER no\nSTRATEGY oracle\n"),
+    ],
+    ids=["shortest-yes", "fastest-yes", "no"],
+)
+def test_oracle_ecc_command(runner, tmp_path, variant, k, code, output):
+    # (1,2) must move from 1 to 3 for 0 to reach 2
+    gpath = write(tmp_path, "g.tg", PATH_TG)
+    res = runner.invoke(main, ["oracle", "ecc", "-g", gpath, "--source", "0", "--variant", variant,
+                               "-k", str(k), "--delta", "2", "--zeta", "1"])
+    assert (res.exit_code, res.output) == (code, output)

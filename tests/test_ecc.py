@@ -136,7 +136,9 @@ def test_ecc_within_agrees_with_measure(g, source, k):
     source %= g.n
     for variant in ("shortest", "fastest"):
         val = measure(g, source, variant)
-        assert ecc_within(g, source, k, variant) == (val is not None and val <= k)
+        got = ecc_within(g, source, k, variant)
+        assert got == (val if val is not None and val <= k else None)
+        assert got is None or type(got) is int
 
 
 def test_duration_bounded_by_arrival_minus_one():

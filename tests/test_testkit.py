@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -6,7 +7,7 @@ from temporeach.limits import CapExceeded, WorkCaps
 from temporeach.ecc import EccInstance, measure
 from temporeach.reach import arrivals, reach_set
 from temporeach.solvers import TrlpInstance
-from temporeach.tgraph import TemporalGraph, apply_perturbation, parse_graph
+from temporeach.tgraph import TemporalGraph, apply_perturbation, parse_graph, serialize_graph
 from temporeach.testkit import (
     PROFILES,
     CnfFormula,
@@ -260,6 +261,57 @@ def test_sat_tfaep_gadget_times():
     assert got is not None and got > inst.k
 
 
+# (builder, variables, clauses, k, sha256 of the instance text as `gen
+# sat-tsep` / `gen sat-tfaep` write it), pinned before the two builders
+# shared their last step.  Two-variable tsep gadgets at k = 5 exceed the
+# oracle's default cap.
+GADGET_PINS = [
+    ("tsep", 1, ((1,),), 5, "434b025bd58367834148832f09e4e4464a37e074365914b2532c978e32030306"),
+    ("tsep", 1, ((1,),), 6, "a3365060b2b9d7f06dbe2be4c3df965f2a2f09b6c915cf7f1e1dee1d12be5f75"),
+    ("tsep", 1, ((-1,),), 5, "35c911d7a3c56836100e2f92f38d400a109ff50fb3849141c12d3071d7842ea2"),
+    ("tsep", 1, ((-1,),), 6, "c3d6f8259f5cc068140b92923e429ac63d08f0c86df93f7bf2b870009cfc48d0"),
+    ("tsep", 1, ((1,), (-1,)), 5, "3686d7ed7dac41ebca16d953d58f85f25c276b0077ed6e9c6bb89f0b6372bf24"),
+    ("tsep", 1, ((1,), (-1,)), 6, "a56227c1cd653f44216e02fff42378fa4d540abee2c8de021462f2acb4bf90a2"),
+    ("tsep", 1, ((1, -1),), 5, "de8527494643808c8a191f1c1593fa1a3412e6b021e624f2e2271dd00a63333f"),
+    ("tsep", 1, ((1, -1),), 6, "1214274da0e6b99a4151cdc1e4f5773a250beac78bd9d032abb27a94f9d8788c"),
+    ("tfaep", 1, ((1,),), 3, "1e6cb639377d1b923425589a2528f1d9edd2bcf9caa601b9adeadb9a4022392b"),
+    ("tfaep", 1, ((1,),), 4, "82302cdfa58168861ea86925958341a95c09281b1086618ff40aae76c770e61a"),
+    ("tfaep", 1, ((-1,),), 3, "df88810ca34e6b3e304b7141a93bae8ae5a3dba2692067855cf7215f177a01a7"),
+    ("tfaep", 1, ((-1,),), 4, "7317892ecb48a0f07e59a58717b93f9eecd9179223206e75048e5c056a74f74d"),
+    ("tfaep", 1, ((1,), (-1,)), 3, "b6e5e951f9bae1eebed6c8a93b06efeeeee0b0ce4285b36ca8e645d329833a03"),
+    ("tfaep", 1, ((1,), (-1,)), 4, "079f6490ba75b927b88b4f01cd19f3c840ded49aeb3ec6df0a3428ee030e66f7"),
+    ("tfaep", 1, ((1, -1),), 3, "9458413c48502898df8dc8360f87cfa4c12942541d1fa1e40ca63ceb6e3ad347"),
+    ("tfaep", 1, ((1, -1),), 4, "fd7e13c89d0268297fd501bc1466de958fb0a69d3f2109308916429cac2d2781"),
+    ("tfaep", 2, ((1, 2), (-1,)), 3, "b798ff72410255facde3ef08597228564878f9e85aaa89b517e62a18c22fb90d"),
+    ("tfaep", 2, ((1, 2), (-1,)), 4, "cbb7e6a76df97307651c00c6226fb77fa87da0744d4484f182bb19929d9e5b91"),
+    ("tfaep", 2, ((1,), (-2,)), 3, "354245f6f47f716968226b7f49f8df515cb1ebda661f0c27a2d5c9c420ca51c5"),
+    ("tfaep", 2, ((1,), (-2,)), 4, "6521176307240c40d4f2655d622813f2eb2c4abb209fb1bd2bd237550773d679"),
+    ("tfaep", 2, ((1, 2), (-1,), (-2,)), 3,
+     "6284c7097ecbf52f27c75443aec5aaf4b5f11ea619d50aa28883e0013992b45c"),
+    ("tfaep", 2, ((1, 2), (-1,), (-2,)), 4,
+     "8f165be95b12e4ed1a74a11b750bb3a6171c3dfcc3840a256cb730e8767a4af8"),
+    ("tfaep", 2, ((1, 2), (1, -2), (-1, 2), (-1, -2)), 3,
+     "e9274f9f419c53efb3e862db30ccaddd06cf65ae05b6ac07704f684a11f21c77"),
+    ("tfaep", 2, ((1, 2), (1, -2), (-1, 2), (-1, -2)), 4,
+     "8e926246aff7e1e3ef1e7772d8e5d0bb9213398b594b626c68d60c0aaaa0f93f"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, num_vars, clauses, k, digest", GADGET_PINS,
+    ids=[f"{kind}-{nv}var-{'-'.join(map(str, clauses))}-k{k}" for kind, nv, clauses, k, _ in GADGET_PINS],
+)
+def test_sat_gadgets_past_the_smallest_k(kind, num_vars, clauses, k, digest):
+    f = CnfFormula(num_vars, clauses)
+    inst = {"tsep": sat_to_tsep, "tfaep": sat_to_tfaep}[kind](f, k, 1)
+    text = serialize_graph(inst.graph) + (
+        f"delta {inst.delta}\nzeta {inst.zeta}\nk {inst.k}\n"
+        f"source {inst.source}\nvariant {inst.variant}\n"
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert oracle_ecc(inst).answer == brute_sat(f)
+
+
 def test_gen_rejects_bad_parameters():
     f = CnfFormula(1, ((1,),))
     with pytest.raises(ValueError):
@@ -305,3 +357,7 @@ def test_dimacs_clauses_end_at_zero_not_at_line_end():
     assert parse_dimacs("p cnf 2 2\n1 0 -2 0\n") == CnfFormula(2, ((1,), (-2,)))
     # a last clause without its 0 still counts
     assert parse_dimacs("p cnf 2 2\n1 0\n-2\n") == CnfFormula(2, ((1,), (-2,)))
+
+
+def test_oracle_max_reach_of_an_empty_graph():
+    assert oracle_trlp_max_reach(TemporalGraph(0, (), ()), 1, 1) == 0

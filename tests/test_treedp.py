@@ -250,3 +250,22 @@ def test_tree_matches_oracle_sweep():
                 count = sum(1 for a in arrivals(pg, res.source) if a is not None)
                 assert count >= h
                 assert res.perturbation.perturbed_count <= inst.zeta
+
+
+def test_delta_past_lifetime_plus_n_answers_as_at_it():
+    # every time in [1, T+n+1] lies in every window at delta = T+n, so a
+    # larger delta must give the same answer, source, count and moves.  The
+    # first graph once took 1.4 s at delta = 1e5 and ran out of memory at 1e9.
+    graphs = [parse_graph("n 3\ne 0 1 5\ne 1 2 3\n")]
+    graphs += [random_instance(seed, "tree").graph for seed in range(40)]
+    for g in graphs:
+        for zeta in (0, 1, 2):
+            for h in range(1, g.n + 1):
+                at_cap, huge = (
+                    solve_trlp_tree(TrlpInstance(g, d, zeta, h)) for d in (g.lifetime + g.n, 10**9)
+                )
+                assert huge.perturbation is None or huge.perturbation.delta == 10**9
+                assert (at_cap.answer, at_cap.source, at_cap.reach_count) == (
+                    huge.answer, huge.source, huge.reach_count)
+                if huge.answer:
+                    assert at_cap.perturbation.records == huge.perturbation.records

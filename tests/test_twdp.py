@@ -538,3 +538,26 @@ def test_sources_rooted_apart_match_xp():
             pg = apply_perturbation(g, got.perturbation)
             count = sum(1 for a in arrivals(pg, got.source) if a is not None)
             assert count == got.reach_count >= inst.h
+
+
+def test_delta_past_lifetime_plus_n_answers_as_at_it():
+    # every time in [1, T+n+1] lies in every window at delta = T+n, so a
+    # larger delta must give the same answer, source, count and moves.  The
+    # first graph once took 2.5 s at delta = 100 and ran past 30 s at 1e9.
+    graphs = [parse_graph("n 3\ne 0 1 5\ne 1 2 3\n")] + [
+        g for seed in range(30) for profile in ("tree", "treewidth2")
+        if (g := random_instance(seed, profile).graph).num_time_edges() <= 5
+    ]
+    for g in graphs:
+        decomp = decompose_exact_small(g.n, g.edges)
+        for zeta in (0, 1):
+            for h in range(1, g.n + 1):
+                at_cap, huge = (
+                    solve_trlp_treewidth(TrlpInstance(g, d, zeta, h), decomp)
+                    for d in (g.lifetime + g.n, 10**9)
+                )
+                assert huge.perturbation is None or huge.perturbation.delta == 10**9
+                assert (at_cap.answer, at_cap.source, at_cap.reach_count) == (
+                    huge.answer, huge.source, huge.reach_count)
+                if huge.answer:
+                    assert at_cap.perturbation.records == huge.perturbation.records
