@@ -8,12 +8,24 @@ pairwise distinct.  Enumeration order is (moved-set size, lexicographic moved
 set, lexicographic targets); the first accepted perturbation is the witness.
 
 All four oracles are one search, ``_least_cost``: it checks the cap, runs
-the scan and keeps the least cost of a completed candidate.  A reach costs
+a walk and keeps the least cost of a completed candidate.  A reach costs
 minus the best count of any source, and an eccentricity costs itself, which
 ``ecc.ecc_within`` measures only up to the bar; a relaxation above the bar is
 pruned.  The threshold oracles fix the bar at h or k and stop at the first
 witness; the optimum oracles set it one below the best so far and stop at n
 reached or eccentricity 0.
+
+There are two walks.  The scan (``scan_perturbations``, below) visits the
+space in enumeration order and runs whenever zeta is below the number of
+appearances.  Otherwise the budget cannot bind, and the value walk
+(``_value_walk``) runs first: it decides the appearances in turn, each at
+its label first, then at the other times of its window that no earlier
+appearance of its edge holds, and keeps the undecided ones windowed.  It
+visits every perturbation once, and its relaxations narrow one appearance at
+a time, so it prunes far sooner than the scan, whose windowed moved sets
+stay wide.  It answers the optimum oracles and a threshold no by itself; a
+threshold yes runs the scan after it, so the witness is still the first in
+enumeration order.
 
 The scan keeps one label array, one entry per edge, and one mode per
 appearance of the scanned edges: at its label, active across its whole
@@ -151,9 +163,9 @@ def brute_domset(g: StaticGraph, r: int) -> bool:
 
 
 def enumeration_size(num_time_edges: int, delta: int, zeta: int) -> int:
-    width = 2 * delta
+    """At most 2*delta targets per moved appearance: one perturbation at delta 0."""
     return sum(
-        comb(num_time_edges, j) * max(1, width) ** j
+        comb(num_time_edges, j) * (2 * delta) ** j
         for j in range(min(zeta, num_time_edges) + 1)
     )
 
@@ -271,6 +283,60 @@ def scan_perturbations(
     return any(choose(0, size) for size in range(min(zeta, len(apps)) + 1))
 
 
+def _value_walk(
+    g: TemporalGraph,
+    delta: int,
+    zeta: int,
+    *,
+    keep: Callable[[TemporalGraph], bool],
+    on_complete: Callable[[Perturbation, TemporalGraph], bool],
+) -> bool:
+    """Walk every perturbation once, for a zeta that cannot bind (at least
+    the number of appearances), with ``scan_perturbations``' protocol but
+    not its order.
+
+    The appearances are decided in the scan's order.  Each takes its label
+    first, then every other time of its window that no earlier appearance of
+    its edge holds.  Undecided appearances stay windowed; ``keep`` sees that
+    relaxation after each decision that narrows it, except the last, whose
+    graph goes to ``on_complete``.
+    """
+    labels = list(g.labels)
+    # per appearance: (edge index, label, its edge's first appearance, the
+    # times its edge's later appearances may take, the times it tries); at
+    # delta 0 nothing moves, and g is the one leaf however many appearances
+    # it has, with no decision (and no recursion) per appearance
+    steps = []
+    for ei, ts in enumerate(g.labels if delta else ()):
+        start = len(steps)
+        for i, t in enumerate(ts):
+            rest = set().union(*(window(u, delta) for u in ts[i + 1:]))
+            steps.append((ei, t, start, rest, (t, *(s for s in window(t, delta) if s != t))))
+        labels[ei] = tuple(sorted(set().union(*(window(u, delta) for u in ts))))
+    held: list[int] = []  # the time of each decided appearance
+
+    def decide(a: int) -> bool:
+        if a == len(steps):
+            records = tuple((g.edges[ei], t, s) for (ei, t, *_), s in zip(steps, held) if s != t)
+            return on_complete(Perturbation(delta, zeta, records), g._relabelled(tuple(labels)))
+        ei, _t, start, rest, tries = steps[a]
+        taken = held[start:]
+        before = labels[ei]
+        for s in tries:
+            if s in taken:
+                continue
+            labels[ei] = tuple(sorted({*taken, s, *rest}))
+            held.append(s)
+            if (a + 1 == len(steps) or labels[ei] == before
+                    or keep(g._relabelled(tuple(labels)))) and decide(a + 1):
+                return True
+            held.pop()
+        labels[ei] = before
+        return False
+
+    return decide(0)
+
+
 def enumerate_perturbations(
     g: TemporalGraph,
     delta: int,
@@ -301,9 +367,17 @@ def _least_cost(
     cost: Callable[[TemporalGraph, int], Optional[int]], goal: int, ratchet: bool,
 ) -> tuple[Optional[int], Optional[tuple[Perturbation, TemporalGraph]]]:
     """(least cost, or None if no candidate met its bar; the first candidate
-    at it, with its graph), stopping at a cost <= ``goal``.  ``cost(graph,
-    bar)`` is None when the cost is above ``bar``, which is ``goal`` or, with
-    ``ratchet``, one below the least cost so far (at first ``sys.maxsize``)."""
+    at it in walk order, with its graph), stopping at a cost <= ``goal``.
+    ``cost(graph, bar)`` is None when the cost is above ``bar``, which is
+    ``goal`` or, with ``ratchet``, one below the least cost so far (at first
+    ``sys.maxsize``).
+
+    A zeta below the number of appearances runs ``scan_perturbations``.  Any
+    other zeta cannot bind, and ``_value_walk`` runs instead: it visits each
+    perturbation once, trying labels first, and prunes sooner.  It alone
+    gives the optimum (the ratchet) and a threshold no; on a threshold yes
+    the scan runs after it and names the first witness in enumeration
+    order."""
     est = enumeration_size(g.num_time_edges(), delta, zeta)
     if est > caps.oracle_evals:
         raise CapExceeded(f"oracle space ~{est} exceeds cap {caps.oracle_evals}")
@@ -324,7 +398,12 @@ def _least_cost(
                 bar = c - 1
         return best is not None and best <= goal
 
-    scan_perturbations(g, delta, zeta, keep=keep, on_complete=complete)
+    if zeta < g.num_time_edges():
+        scan_perturbations(g, delta, zeta, keep=keep, on_complete=complete)
+    elif _value_walk(g, delta, zeta, keep=keep, on_complete=complete) and not ratchet:
+        # a witness exists: the ordered scan names the first one
+        best = found = None
+        scan_perturbations(g, delta, zeta, keep=keep, on_complete=complete)
     return best, found
 
 
@@ -338,12 +417,16 @@ def oracle_trlp(inst: TrlpInstance, caps: WorkCaps = DEFAULT_CAPS) -> SolveResul
     the first witnessing perturbation in enumeration order.
 
     On a no, reach_count is only the best count among the candidates the
-    scan visited: pruned branches are never completed, so it can fall below
-    the true optimum (``oracle_trlp_max_reach`` gives that)."""
+    walk completed, or the unperturbed graph's if it completed none: pruned
+    branches are never completed, so it can fall below the true optimum
+    (``oracle_trlp_max_reach`` gives that)."""
     g, h = inst.graph, inst.h
-    best, (p, pg) = _least_cost(g, inst.delta, inst.zeta, caps, _reach_cost, -h, False)
+    best, found = _least_cost(g, inst.delta, inst.zeta, caps, _reach_cost, -h, False)
+    if best is None:  # the value walk completed no candidate
+        best = _reach_cost(g, 0)
     if best > -h:
         return SolveResult(False, "oracle", reach_count=-best)
+    p, pg = found
     src = next(s for s, c in enumerate(reach_counts(pg)) if c >= h)
     return _certified_yes(inst, "oracle", src, p.records)
 

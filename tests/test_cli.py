@@ -206,6 +206,26 @@ def test_ecc_command_both_exits(runner, tmp_path):
     assert no.exit_code == 1
 
 
+@pytest.mark.parametrize(
+    "argv, code, output",
+    [
+        (["ecc", "--source", "0", "--variant", "shortest", "-k", "44"], 1,
+         "ANSWER no\nSTRATEGY exhaustive\n"),
+        (["ecc", "--source", "0", "--variant", "shortest", "-k", "45"], 0,
+         "ANSWER yes\nSOURCE 0\nECC 45\nREACH 46\nSTRATEGY exhaustive\n"),
+        (["trlp", "--strategy", "oracle", "--h", "46"], 0,
+         "ANSWER yes\nSOURCE 0\nREACH 46\nSTRATEGY oracle\n"),
+    ],
+    ids=["ecc-no", "ecc-yes", "trlp-oracle-yes"],
+)
+def test_oracle_answers_the_one_perturbation_at_delta_zero(runner, tmp_path, argv, code, output):
+    # a 45-edge path at increasing times, zeta 10: counting every moved set,
+    # ~4.3e9 of them, would refuse, but at delta 0 nothing can move
+    gpath = write(tmp_path, "g.tg", "n 46\n" + "".join(f"e {v} {v + 1} {v + 1}\n" for v in range(45)))
+    res = runner.invoke(main, [argv[0], "-g", gpath, "--delta", "0", "--zeta", "10", *argv[1:]])
+    assert (res.exit_code, res.output) == (code, output)
+
+
 def test_gen_domset(runner, tmp_path):
     gpath = write(tmp_path, "static.txt", FIG_STATIC)
     out = str(tmp_path / "inst.tg")

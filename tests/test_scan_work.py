@@ -1,14 +1,17 @@
-"""Pins the work of ``testkit.scan_perturbations``: per case, the number of
-``keep`` and ``on_complete`` calls and a sha256 over the (kind, labels,
-result) call log.  A change to the scan's visit order, its pruning or the
-graphs it hands out changes these.
+"""Pins the work of the oracle's walks, ``testkit.scan_perturbations`` and
+``testkit._value_walk``: per case, the number of ``keep`` and
+``on_complete`` calls and a sha256 over the (kind, labels, result) call log.
+A change to a walk's visit order, its pruning or the graphs it hands out
+changes these.
 
 ``scan_work.json`` holds the pinned values.  It was written by running this
 file as a script (``PYTHONPATH=src python tests/test_scan_work.py``) before
 the scan moved to a per-edge label array; the ``-eset`` rows, scans restricted
 to every other edge, were added the same way before a scan leaf started
-restoring its labels by slices.  Rerun it only for a change that is meant to
-alter the scan's work, and say so.
+restoring its labels by slices.  It was rerun when the calls whose zeta is at
+least the number of appearances moved to the value walk, which moved only
+those rows.  Rerun it only for a change that is meant to alter a walk's
+work, and say so.
 """
 
 import hashlib
@@ -33,9 +36,13 @@ from temporeach.solvers import TrlpInstance
 PINNED = Path(__file__).with_name("scan_work.json")
 
 
+WALKERS = ("scan_perturbations", "_value_walk")
+
+
 def logged(run) -> list:
-    """(keeps, completes, sha256 hex of the call log) of the scans ``run`` makes."""
-    original = testkit.scan_perturbations
+    """(keeps, completes, sha256 hex of the call log) of the walks, ordered
+    scans and value walks alike, that ``run`` makes."""
+    originals = {name: getattr(testkit, name) for name in WALKERS}
     digest = hashlib.sha256()
     calls = {"keep": 0, "complete": 0}
 
@@ -44,19 +51,24 @@ def logged(run) -> list:
         digest.update(repr((kind, graph.labels, result)).encode() + b"\n")
         return result
 
-    def scan(g, delta, zeta, *, keep=None, on_complete, **kwargs):
-        logged_keep = None if keep is None else lambda relaxed: log("keep", relaxed, keep(relaxed))
-        return original(
-            g, delta, zeta, keep=logged_keep,
-            on_complete=lambda p, pg: log("complete", pg, on_complete(p, pg)),
-            **kwargs,
-        )
+    def logged_walk(original):
+        def walk(g, delta, zeta, *, keep=None, on_complete, **kwargs):
+            logged_keep = None if keep is None else lambda relaxed: log("keep", relaxed, keep(relaxed))
+            return original(
+                g, delta, zeta, keep=logged_keep,
+                on_complete=lambda p, pg: log("complete", pg, on_complete(p, pg)),
+                **kwargs,
+            )
 
-    testkit.scan_perturbations = scan
+        return walk
+
+    for name, original in originals.items():
+        setattr(testkit, name, logged_walk(original))
     try:
         run()
     finally:
-        testkit.scan_perturbations = original
+        for name, original in originals.items():
+            setattr(testkit, name, original)
     return [calls["keep"], calls["complete"], digest.hexdigest()]
 
 

@@ -1,11 +1,13 @@
 import hashlib
 import itertools
+import random
 
 import pytest
 
 from temporeach.limits import CapExceeded, WorkCaps
 from temporeach.ecc import EccInstance, measure
-from temporeach.reach import arrivals, reach_set
+from temporeach import testkit
+from temporeach.reach import arrivals, reach_counts, reach_set
 from temporeach.solvers import TrlpInstance
 from temporeach.tgraph import TemporalGraph, apply_perturbation, parse_graph, serialize_graph
 from temporeach.testkit import (
@@ -16,6 +18,7 @@ from temporeach.testkit import (
     brute_sat,
     domset_to_trlp,
     enumerate_perturbations,
+    enumeration_size,
     oracle_ecc,
     oracle_ecc_min,
     oracle_trlp,
@@ -128,14 +131,41 @@ def test_scan_refuses_edge_outside_graph():
         scan_perturbations(g, 1, 1, eset=[(1, 2), (0, 2)], on_complete=lambda p, pg: False)
 
 
+def budget_free_cases():
+    """(graph, delta, h, k) of seeded micro instances whose whole space, with
+    every appearance movable, has at most 3,000 perturbations: the random
+    profiles, then graphs with up to three labels an edge in 1..4, whose
+    windows collide and are clipped at 1."""
+    cases = []
+    for seed in range(60):
+        for profile in PROFILES:
+            inst = random_instance(seed, profile)
+            cases.append((inst.graph, inst.delta, inst.h, seed % 4))
+    for seed in range(60):
+        rng = random.Random(seed)
+        n = rng.randint(2, 4)
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = sorted(rng.sample(pairs, rng.randint(1, min(3, len(pairs)))))
+        labels = [tuple(sorted(rng.sample(range(1, 5), rng.randint(1, 3)))) for _ in edges]
+        g = TemporalGraph(n, tuple(edges), tuple(labels))
+        cases.append((g, rng.randint(1, 2), rng.randint(1, n), seed % 4))
+    return [(g, delta, h, k) for g, delta, h, k in cases
+            if enumeration_size(g.num_time_edges(), delta, g.num_time_edges()) <= 3000]
+
+
 def test_scan_first_witness_follows_enumeration_order():
     """The pruned scan's first witness is the first accepted perturbation of
-    the unpruned enumeration, for both oracles."""
-    compared = 0
+    the unpruned enumeration, for both oracles, also where the budget cannot
+    bind and the value walk answers first."""
+    budgeted = []
     for seed in range(60):
-        for profile in ("tree", "sparse", "treewidth2"):
+        for profile in PROFILES:
             inst = random_instance(seed, profile)
-            g, delta, zeta, h = inst.graph, inst.delta, max(inst.zeta, 2), inst.h
+            budgeted.append((inst.graph, inst.delta, max(inst.zeta, 2), inst.h, seed % 4))
+    budget_free = [(g, delta, g.num_time_edges(), h, k) for g, delta, h, k in budget_free_cases()]
+    for cases, least in ((budgeted, 40), (budget_free, 15)):
+        compared = 0
+        for g, delta, zeta, h, k in cases:
             space = list(enumerate_perturbations(g, delta, zeta))
 
             def reaching(pg):
@@ -143,20 +173,71 @@ def test_scan_first_witness_follows_enumeration_order():
 
             want = next(((p, reaching(pg)) for p, pg in space if reaching(pg) is not None), None)
             got = oracle_trlp(TrlpInstance(g, delta, zeta, h))
-            assert (got.perturbation, got.source) == (want or (None, None)), (seed, profile)
+            assert (got.perturbation, got.source) == (want or (None, None)), (g, delta, zeta, h)
             compared += want is not None and want[0].perturbed_count > 0
             for variant in ("shortest", "fastest"):
-                k = seed % 4
 
                 def within(pg):
                     val = measure(pg, 0, variant)
                     return val is not None and val <= k
 
-                want = next((p for p, pg in space if within(pg)), None)
+                want = next(((p, measure(pg, 0, variant)) for p, pg in space if within(pg)), None)
                 got = oracle_ecc(EccInstance(g, 0, k, delta, zeta, variant))
-                assert got.perturbation == want, (seed, profile, variant)
-                compared += want is not None and want.perturbed_count > 0
-    assert compared >= 40  # witnesses that move something
+                assert (got.perturbation, got.ecc_value) == (want or (None, None)), (g, delta, zeta, variant)
+                compared += want is not None and want[0].perturbed_count > 0
+        assert compared >= least  # witnesses that move something
+
+
+def test_value_walk_visits_every_perturbation_once():
+    """Unpruned, the value walk completes the same perturbations, with the
+    same graphs, as the independent enumeration, each once, in its own order."""
+    seen = 0
+    for g, delta, _h, _k in budget_free_cases():
+        m = g.num_time_edges()
+        got = []
+
+        def collect(p, pg):
+            got.append((p.records, pg.labels))
+            return False
+
+        testkit._value_walk(g, delta, m, keep=lambda relaxed: True, on_complete=collect)
+        want = [(p.records, pg.labels) for p, pg in enumerate_perturbations(g, delta, m)]
+        assert sorted(got) == sorted(want), (g, delta)
+        seen += len(got)
+    assert seen > 5000
+
+
+def test_value_walk_at_delta_zero_is_the_graph_alone():
+    """At delta 0 nothing moves: however many appearances, the value walk
+    completes the input graph once, without a keep test or a decision each."""
+    g = TemporalGraph(1501, tuple((v, v + 1) for v in range(1500)), tuple((1,) for _ in range(1500)))
+    got = []
+    testkit._value_walk(g, 0, 1500, keep=lambda relaxed: pytest.fail("no keep test"),
+                        on_complete=lambda p, pg: got.append((p.records, pg.labels)))
+    assert got == [((), g.labels)]
+    assert oracle_trlp_max_reach(g, 0, 1500) == 3  # a vertex and its two neighbours
+    assert not oracle_trlp(TrlpInstance(g, 0, 1500, 4)).answer
+
+
+@pytest.mark.parametrize("walker", ["value", "ordered"])
+def test_budget_free_optima_match_brute_force(walker, monkeypatch):
+    """With every appearance movable, the optimum oracles' least cost, by
+    either walker, is the best over the whole enumerated space, and a
+    threshold no's count stays at or below it."""
+    if walker == "ordered":
+        monkeypatch.setattr(testkit, "_value_walk", scan_perturbations)
+    for g, delta, _h, _k in budget_free_cases():
+        m = g.num_time_edges()
+        graphs = [pg for _p, pg in enumerate_perturbations(g, delta, m)]
+        want = max(max(reach_counts(pg), default=0) for pg in graphs)
+        assert oracle_trlp_max_reach(g, delta, m) == want, (g, delta)
+        for h in range(want + 1, g.n + 1):
+            no = oracle_trlp(TrlpInstance(g, delta, m, h))
+            assert not no.answer and no.reach_count <= want, (g, delta, h)
+        for variant in ("shortest", "fastest"):
+            values = [v for v in (measure(pg, 0, variant) for pg in graphs) if v is not None]
+            want = min(values, default=None)
+            assert oracle_ecc_min(g, 0, delta, m, variant) == want, (g, delta, variant)
 
 
 def test_oracle_path_example():
