@@ -18,7 +18,6 @@ from .tgraph import (
     parse_perturbation,
     serialize_graph,
     serialize_perturbation,
-    validate_relabelling,
 )
 from .reach import max_reachability, reach_set
 from .solvers import SolveResult, TrlpInstance, solve_trlp, solve_trp
@@ -46,5 +45,4 @@ __all__ = [
     "solve_ecc_perturbed",
     "solve_trlp",
     "solve_trp",
-    "validate_relabelling",
 ]

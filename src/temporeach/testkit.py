@@ -15,35 +15,43 @@ pruned.  The threshold oracles fix the bar at h or k and stop at the first
 witness; the optimum oracles set it one below the best so far and stop at n
 reached or eccentricity 0.
 
-There are two walks.  The scan (``scan_perturbations``, below) visits the
-space in enumeration order and runs whenever zeta is below the number of
-appearances.  Otherwise the budget cannot bind, and the value walk
-(``_value_walk``) runs first: it decides the appearances in turn, each at
-its label first, then at the other times of its window that no earlier
-appearance of its edge holds, and keeps the undecided ones windowed.  It
-visits every perturbation once, and its relaxations narrow one appearance at
-a time, so it prunes far sooner than the scan, whose windowed moved sets
-stay wide.  It answers the optimum oracles and a threshold no by itself; a
-threshold yes runs the scan after it, so the witness is still the first in
-enumeration order.
+There are two walks, two visit orders over one set-up (``_walk``).  It keeps
+one label array, one entry per edge, and one slot per appearance: at its
+label, active across its whole ±delta window, or at one time of it; all
+start windowed.  At delta 0 nothing can move, so the set-up walks no
+appearance and g is the one perturbation.  One target loop decides a given
+sequence of appearances in turn.  Each tries its times (in the scan, its
+window without its label; in the value walk, its label first, then the rest
+of its window), skips any time its edge already holds, and is windowed again
+afterwards.  ``keep`` sees each relaxation the loop narrows, except at the
+last appearance, whose graph goes to ``on_complete``, and except where the
+edge's labels did not change: that graph is the relaxation the loop started
+from.  Each change to a slot re-sorts only that edge's labels.
 
-The scan keeps one label array, one entry per edge, and one mode per
-appearance of the scanned edges: at its label, active across its whole
-±delta window, or moved to a target; all start windowed.  Per moved-set size
-s, it walks the appearances depth first, trying "move this one" before "keep
-it": that visits the moved sets in the lexicographic order of
-``itertools.combinations``.  Each step changes one appearance's mode and
-re-sorts only that edge's labels; backtracking changes it back.  A leaf (a
-full moved set) sets the later appearances to their labels by slices, copying
-later edges' labels from the input graph and re-sorting the edge split at its
-start, and restores the saved arrays after.  A subtree may be skipped only
-when a relaxation covering it already fails the test.  In a relaxation, the
-appearances chosen so far, and the undecided ones while fewer than s are
-chosen, are windowed; every other appearance keeps its label.  Every
-concrete completion in the subtree uses a subset of that relaxation's
-time-edges, and more time-edges never hurt reachability or eccentricity, so
-none of them can pass.  Each graph the test sees is an immutable snapshot of
-the array that shares the input graph's edges, edge index and adjacency.
+The ordered scan (``scan_perturbations``) runs whenever zeta is below the
+number of appearances and visits the space in enumeration order.  Per
+moved-set size s, it walks the appearances depth first, trying "move this
+one" before "keep it": that visits the moved sets in the lexicographic order
+of ``itertools.combinations``, and the target loop decides each full moved
+set.  A leaf (a full moved set) sets the later appearances to their labels
+by slices, copying later edges' labels from the input graph and re-sorting
+the edge split at its start, and restores the saved arrays after.  A subtree
+may be skipped only when a relaxation covering it already fails the test.
+In a relaxation, the appearances chosen so far, and the undecided ones while
+fewer than s are chosen, are windowed; every other appearance keeps its
+label.  Every concrete completion in the subtree uses a subset of that
+relaxation's time-edges, and more time-edges never hurt reachability or
+eccentricity, so none of them can pass.
+
+Otherwise the budget cannot bind, and the value walk (``_value_walk``), the
+target loop over every appearance, runs first.  It visits every perturbation
+once, and its relaxations narrow one appearance at a time, so it prunes far
+sooner than the scan, whose windowed moved sets stay wide.  It answers the
+optimum oracles and a threshold no by itself; a threshold yes runs the scan
+after it, so the witness is still the first in enumeration order.
+
+Each graph the test sees is an immutable snapshot of the label array that
+shares the input graph's edges, edge index and adjacency.
 """
 
 from __future__ import annotations
@@ -184,35 +192,21 @@ def _appearances(g: TemporalGraph, eset: Optional[Iterable[Edge]]) -> list[tuple
     return [(ei, t) for ei in eidx for t in g.labels[ei]]
 
 
-def scan_perturbations(
-    g: TemporalGraph,
-    delta: int,
-    zeta: int,
-    *,
-    eset: Optional[Iterable[Edge]] = None,
-    keep: Optional[Callable[[TemporalGraph], bool]] = None,
-    on_complete: Callable[[Perturbation, TemporalGraph], bool],
+def _walk(
+    g: TemporalGraph, delta: int, zeta: int, eset: Optional[Iterable[Edge]],
+    keep: Optional[Callable[[TemporalGraph], bool]],
+    on_complete: Callable[[Perturbation, TemporalGraph], bool], ordered: bool,
 ) -> bool:
-    """Walk the perturbation space in the documented order, calling
-    ``on_complete`` for every concrete perturbation (stop and return True when
-    it returns True).
-
-    For each moved-set size s, an include-first DFS over the appearances
-    yields the moved sets in lexicographic order.  ``keep`` is consulted on
-    window-relaxation graphs: after each appearance left out, on the chosen
-    appearances and all later ones windowed (the whole subtree is skipped if
-    it fails); on each full moved set windowed; and on prefixes of its target
-    assignment with the remainder still windowed.  It must be monotone in
-    time-edges, i.e. returning False must imply that every completion below
-    also fails.
-
-    Each graph handed to ``keep`` or ``on_complete`` is an immutable snapshot
-    of the scan's label array, which the caller may keep.
-    """
-    apps = _appearances(g, eset)
+    """The set-up both walks share, visited in the ordered scan's order or
+    the value walk's (see the module docstring)."""
+    # at delta 0 nothing can move: g is the one perturbation
+    apps = _appearances(g, eset)[:None if delta else 0]
     windows = [window(t, delta) for _ei, t in apps]
+    # the times the target loop tries: the value walk's label first, then the
+    # rest of the window
+    tries = [([] if ordered else [t]) + [s for s in window(t, delta) if s != t] for _ei, t in apps]
     # what each appearance adds to its edge: (label,), its window range, or
-    # (target,); all start windowed
+    # (time,); all start windowed
     fixed = [(t,) for _ei, t in apps]
     slots: list = windows[:]
     edge_slots = {  # an edge's appearances are adjacent in apps
@@ -220,7 +214,9 @@ def scan_perturbations(
         for a, (ei, t) in enumerate(apps) if t == g.labels[ei][0]
     }
     labels = list(g.labels)
-    chosen: list[int] = []
+    # the appearances the target loop decides in turn: the scan's moved set,
+    # or every appearance
+    chosen = [] if ordered else list(range(len(apps)))
 
     def put(a: int, slot) -> None:
         slots[a] = slot
@@ -264,23 +260,56 @@ def scan_perturbations(
 
     def assign(j: int) -> bool:
         if j == len(chosen):
-            records = tuple((g.edges[apps[a][0]], apps[a][1], slots[a][0]) for a in chosen)
+            records = tuple((g.edges[apps[a][0]], apps[a][1], slots[a][0])
+                            for a in chosen if slots[a] != fixed[a])
             return on_complete(Perturbation(delta, zeta, records), view())
         a = chosen[j]
-        ei, old = apps[a]
-        # labels this edge keeps and targets already given on it; the
-        # appearances still to be assigned are windowed
+        ei = apps[a][0]
+        # times the edge already holds: labels kept and times given; the
+        # appearances still to be decided are windowed
         taken = {s[0] for s in slots[edge_slots[ei]] if type(s) is tuple}
-        for target in windows[a]:
-            if target == old or target in taken:
+        before = labels[ei]
+        for time in tries[a]:
+            if time in taken:
                 continue
-            put(a, (target,))
-            if (keep is None or j + 1 == len(chosen) or keep(view())) and assign(j + 1):
+            put(a, (time,))
+            if (keep is None or j + 1 == len(chosen) or labels[ei] == before
+                    or keep(view())) and assign(j + 1):
                 return True
         put(a, windows[a])
         return False
 
-    return any(choose(0, size) for size in range(min(zeta, len(apps)) + 1))
+    if ordered:
+        return any(choose(0, size) for size in range(min(zeta, len(apps)) + 1))
+    return assign(0)
+
+
+def scan_perturbations(
+    g: TemporalGraph,
+    delta: int,
+    zeta: int,
+    *,
+    eset: Optional[Iterable[Edge]] = None,
+    keep: Optional[Callable[[TemporalGraph], bool]] = None,
+    on_complete: Callable[[Perturbation, TemporalGraph], bool],
+) -> bool:
+    """Walk the perturbation space in the documented order, calling
+    ``on_complete`` for every concrete perturbation (stop and return True when
+    it returns True).
+
+    For each moved-set size s, an include-first DFS over the appearances
+    yields the moved sets in lexicographic order.  ``keep`` is consulted on
+    window-relaxation graphs: after each appearance left out, on the chosen
+    appearances and all later ones windowed (the whole subtree is skipped if
+    it fails); on each full moved set windowed; and on prefixes of its target
+    assignment with the remainder still windowed, where a target changed its
+    edge's labels.  It must be monotone in time-edges, i.e. returning False
+    must imply that every completion below also fails.
+
+    Each graph handed to ``keep`` or ``on_complete`` is an immutable snapshot
+    of the scan's label array, which the caller may keep.
+    """
+    return _walk(g, delta, zeta, eset, keep, on_complete, ordered=True)
 
 
 def _value_walk(
@@ -293,48 +322,9 @@ def _value_walk(
 ) -> bool:
     """Walk every perturbation once, for a zeta that cannot bind (at least
     the number of appearances), with ``scan_perturbations``' protocol but
-    not its order.
-
-    The appearances are decided in the scan's order.  Each takes its label
-    first, then every other time of its window that no earlier appearance of
-    its edge holds.  Undecided appearances stay windowed; ``keep`` sees that
-    relaxation after each decision that narrows it, except the last, whose
-    graph goes to ``on_complete``.
-    """
-    labels = list(g.labels)
-    # per appearance: (edge index, label, its edge's first appearance, the
-    # times its edge's later appearances may take, the times it tries); at
-    # delta 0 nothing moves, and g is the one leaf however many appearances
-    # it has, with no decision (and no recursion) per appearance
-    steps = []
-    for ei, ts in enumerate(g.labels if delta else ()):
-        start = len(steps)
-        for i, t in enumerate(ts):
-            rest = set().union(*(window(u, delta) for u in ts[i + 1:]))
-            steps.append((ei, t, start, rest, (t, *(s for s in window(t, delta) if s != t))))
-        labels[ei] = tuple(sorted(set().union(*(window(u, delta) for u in ts))))
-    held: list[int] = []  # the time of each decided appearance
-
-    def decide(a: int) -> bool:
-        if a == len(steps):
-            records = tuple((g.edges[ei], t, s) for (ei, t, *_), s in zip(steps, held) if s != t)
-            return on_complete(Perturbation(delta, zeta, records), g._relabelled(tuple(labels)))
-        ei, _t, start, rest, tries = steps[a]
-        taken = held[start:]
-        before = labels[ei]
-        for s in tries:
-            if s in taken:
-                continue
-            labels[ei] = tuple(sorted({*taken, s, *rest}))
-            held.append(s)
-            if (a + 1 == len(steps) or labels[ei] == before
-                    or keep(g._relabelled(tuple(labels)))) and decide(a + 1):
-                return True
-            held.pop()
-        labels[ei] = before
-        return False
-
-    return decide(0)
+    not its order: the target loop decides every appearance in turn, each at
+    its label first."""
+    return _walk(g, delta, zeta, None, keep, on_complete, ordered=False)
 
 
 def enumerate_perturbations(
@@ -372,12 +362,16 @@ def _least_cost(
     ``goal`` or, with ``ratchet``, one below the least cost so far (at first
     ``sys.maxsize``).
 
-    A zeta below the number of appearances runs ``scan_perturbations``.  Any
-    other zeta cannot bind, and ``_value_walk`` runs instead: it visits each
-    perturbation once, trying labels first, and prunes sooner.  It alone
+    Both walks run one target loop over one label array.  A zeta below the
+    number of appearances runs ``scan_perturbations``, which hands the loop
+    each moved set in enumeration order.  Any other zeta cannot bind, and
+    ``_value_walk`` runs instead: the loop over every appearance, label
+    first, which visits each perturbation once and prunes sooner.  It alone
     gives the optimum (the ratchet) and a threshold no; on a threshold yes
     the scan runs after it and names the first witness in enumeration
-    order."""
+    order.  The loop tests no relaxation whose edge labels a decision left
+    unchanged: on a threshold call that graph could only pass again.  At
+    delta 0 either walk completes g alone."""
     est = enumeration_size(g.num_time_edges(), delta, zeta)
     if est > caps.oracle_evals:
         raise CapExceeded(f"oracle space ~{est} exceeds cap {caps.oracle_evals}")
@@ -441,11 +435,14 @@ def oracle_trlp_max_reach(
     return -_least_cost(g, delta, zeta, caps, _reach_cost, -g.n, True)[0]
 
 
+def _ecc_cost(source: int, variant: str) -> Callable[[TemporalGraph, int], Optional[int]]:
+    """The source's eccentricity, measured only up to the bar."""
+    return lambda graph, bar: eccmod.ecc_within(graph, source, bar, variant)
+
+
 def oracle_ecc(inst: "eccmod.EccInstance", caps: WorkCaps = DEFAULT_CAPS) -> SolveResult:
     """Exact eccentricity-threshold decision by full enumeration."""
-    def cost(graph: TemporalGraph, bar: int) -> Optional[int]:
-        return eccmod.ecc_within(graph, inst.source, bar, inst.variant)
-
+    cost = _ecc_cost(inst.source, inst.variant)
     best, found = _least_cost(inst.graph, inst.delta, inst.zeta, caps, cost, inst.k, False)
     if found is None:
         return SolveResult(False, "oracle", source=inst.source)
@@ -462,11 +459,7 @@ def oracle_ecc_min(
     source cannot reach every vertex under any perturbation)."""
     if not (0 <= source < g.n):
         raise ValueError("source out of range")
-
-    def cost(graph: TemporalGraph, bar: int) -> Optional[int]:
-        return eccmod.ecc_within(graph, source, bar, variant)
-
-    return _least_cost(g, delta, zeta, caps, cost, 0, True)[0]
+    return _least_cost(g, delta, zeta, caps, _ecc_cost(source, variant), 0, True)[0]
 
 
 # ---------------------------------------------------------------------------

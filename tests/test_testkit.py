@@ -208,15 +208,17 @@ def test_value_walk_visits_every_perturbation_once():
 
 
 def test_value_walk_at_delta_zero_is_the_graph_alone():
-    """At delta 0 nothing moves: however many appearances, the value walk
-    completes the input graph once, without a keep test or a decision each."""
+    """At delta 0 nothing moves: however many appearances, the value walk,
+    and the ordered scan under a budget below them, complete the input graph
+    once, without a keep test or a decision each."""
     g = TemporalGraph(1501, tuple((v, v + 1) for v in range(1500)), tuple((1,) for _ in range(1500)))
-    got = []
-    testkit._value_walk(g, 0, 1500, keep=lambda relaxed: pytest.fail("no keep test"),
-                        on_complete=lambda p, pg: got.append((p.records, pg.labels)))
-    assert got == [((), g.labels)]
-    assert oracle_trlp_max_reach(g, 0, 1500) == 3  # a vertex and its two neighbours
-    assert not oracle_trlp(TrlpInstance(g, 0, 1500, 4)).answer
+    for walk, zeta in ((testkit._value_walk, 1500), (scan_perturbations, 1499)):
+        got = []
+        walk(g, 0, zeta, keep=lambda relaxed: pytest.fail("no keep test"),
+             on_complete=lambda p, pg: got.append((p.records, pg.labels)))
+        assert got == [((), g.labels)], walk
+        assert oracle_trlp_max_reach(g, 0, zeta) == 3  # a vertex and its two neighbours
+        assert not oracle_trlp(TrlpInstance(g, 0, zeta, 4)).answer
 
 
 @pytest.mark.parametrize("walker", ["value", "ordered"])
