@@ -56,11 +56,11 @@ def _emit(fields: list[tuple[str, object]], as_json: bool) -> None:
                 obj[k] = val
         click.echo(json.dumps(obj, sort_keys=True), file=sys.stdout)
     else:
-        for key, val in fields:
-            if isinstance(val, (list, tuple)):
-                click.echo(f"{key} " + " ".join(str(x) for x in val), file=sys.stdout)
-            else:
-                click.echo(f"{key} {val}", file=sys.stdout)
+        lines = (
+            f"{key} {' '.join(map(str, val)) if isinstance(val, (list, tuple)) else val}"
+            for key, val in fields
+        )
+        click.echo("\n".join(lines), file=sys.stdout)
 
 
 def _result_fields(res: SolveResult) -> list[tuple[str, object]]:

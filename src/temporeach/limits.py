@@ -1,8 +1,9 @@
 """Work caps guarding the exponential strategies.  Each cap is in its own
 unit: XP sweep operations, oracle candidates and treewidth-DP candidate
 states.  The treewidth DP's count spans the whole call: sources share the
-decomposition sides they have in common, and each evaluated node counts
-once."""
+decomposition sides they have in common, each evaluated node counts once,
+and a source skipped because its widened reach bound is below h counts
+nothing."""
 
 from __future__ import annotations
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Optional
 
-from .tgraph import TemporalGraph, _useful_delta, next_expanded_after, next_label_after, window
+from .tgraph import TemporalGraph, _useful_delta, next_expanded_after, next_label_after
 
 ALL_EDGES = "all"
 
@@ -126,20 +126,32 @@ def _sweep(fwd: list[int], layers: dict, masked: dict) -> list[int]:
     return fwd
 
 
-def _windows(g: TemporalGraph, delta: int) -> list[set[int]]:
-    """Each edge's times within ±delta (at most ``_useful_delta``) of one of
-    its labels, clipped at 1."""
-    delta = _useful_delta(g, delta)
-    return [{w for t in ts for w in window(t, delta)} for ts in g.labels]
+def _runs(ts: tuple[int, ...], delta: int) -> Iterator[tuple[int, int]]:
+    """The sorted labels ``ts``' ±delta windows, clipped at 1, merged where
+    they overlap or touch: (lo, hi) per run, in time order."""
+    lo, hi = max(1, ts[0] - delta), ts[0] + delta
+    for t in ts[1:]:
+        if t - delta > hi + 1:
+            yield lo, hi
+            lo = t - delta
+        hi = t + delta
+    yield lo, hi
 
 
 def reach_counts(g: TemporalGraph, delta: int = 0) -> list[int]:
     """Reach count of every source when each edge is active at its labels, or
     over their ±delta windows (clipped at 1) when delta > 0."""
-    layers: dict[int, list[tuple[int, int]]] = {}
-    for e, ts in zip(g.edges, _windows(g, delta) if delta else g.labels):
-        for t in ts:
-            layers.setdefault(t, []).append(e)
+    layers: dict[int, list[tuple[int, int]]] = defaultdict(list)
+    if delta:
+        delta = _useful_delta(g, delta)
+        for e, ts in zip(g.edges, g.labels):
+            for lo, hi in _runs(ts, delta):
+                for t in range(lo, hi + 1):
+                    layers[t].append(e)
+    else:
+        for e, ts in zip(g.edges, g.labels):
+            for t in ts:
+                layers[t].append(e)
     return [bits.bit_count() for bits in _sweep([1 << v for v in range(g.n)], layers, {})]
 
 
@@ -152,7 +164,11 @@ class SubsetSweep:
 
     def __init__(self, g: TemporalGraph, delta: int):
         self.g, self.width = g, max(8, 1 << (g.n - 1).bit_length())
-        self.extra = [w.difference(ts) for w, ts in zip(_windows(g, delta), g.labels)]
+        delta = _useful_delta(g, delta)
+        self.extra = [
+            [t for lo, hi in _runs(ts, delta) for t in range(lo, hi + 1) if t not in ts]
+            for ts in g.labels
+        ]
         self.layers: dict[int, list[tuple[int, int]]] = {t: [] for ts in self.extra for t in ts}
         for e, ts in zip(g.edges, g.labels):
             for t in ts:

@@ -10,6 +10,12 @@
   one subset per bitset field.  The tie-break is unchanged from a per-source
   scan: smallest source, then its first subset in lex order; one exploration
   of that cell gives the certificate.
+* The widened reach of every source, one ``reach.reach_counts`` sweep with
+  every label free to move by ±delta, bounds what it reaches under at most
+  zeta re-timings.  ``solve_trlp_xp`` and the tree DP share one rule: skip a
+  source whose bound is at most the best count so far (h - 1 once a yes is
+  found); the treewidth DP, whose no carries no count, skips a source whose
+  bound is below h.
 * ``solve_trlp_big_zeta``: when zeta >= h-1 the bounded problem collapses to
   the unlimited one; the certificate is thinned to at most h-1 moves.
 * ``solve_trlp``: runs one strategy of ``STRATEGIES``, or under ``auto`` each
@@ -55,9 +61,10 @@ class TrlpInstance:
 class SolveResult:
     """On a yes, ``perturbation`` is a certificate and ``reach_count`` what
     ``source`` reaches under it (``ecc_value``: its eccentricity there).  On a
-    trlp no, ``reach_count`` is the bounded optimum for xp, tree and bigzeta,
-    None for treewidth, and for the oracle the best count among the
-    candidates it visited, which can fall below the optimum."""
+    trlp no, ``reach_count`` is the bounded optimum for xp, tree and bigzeta
+    (xp and tree skip the sources their widened reach bound rules out, which
+    cannot raise it), None for treewidth, and for the oracle the best count
+    among the candidates it visited, which can fall below the optimum."""
 
     answer: bool
     strategy: str

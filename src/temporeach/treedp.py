@@ -12,7 +12,11 @@ at t2+1 under budget w-1.  Budget 0 without t1 skips c.  ``_merge`` splits
 each total budget across the children's rows to maximise the summed gain.
 
 ``solve_trlp_tree`` is the one entry point.  It answers for every source,
-the first yes in ascending source id winning, and compresses time once:
+the first yes in ascending source id winning, and skips by ``solve_trlp_xp``'s
+rule any source that can neither win nor raise the best count: one
+all-sources sweep with every label widened by ±delta (``reach.reach_counts``)
+bounds what a source reaches under at most zeta re-timings, and a source whose
+bound is at most the best so far is never rooted.  It compresses time once:
 the DP runs on ``compress_time``'s copy of the graph with delta capped by
 ``_useful_delta``, so its time axis has horizon <= (distinct labels) *
 (2*delta+1) + delta whatever the size of the labels, and <= 2T+n whatever
@@ -22,9 +26,10 @@ A vertex's table depends on the root only through its parent p: its subtree
 is its component of T - p, its children are its neighbours other than p in
 adjacency order, and delta, zeta, h and the compressed graph are the same for
 every source.  So one dict memoises the tables by the directed edge (v, p),
-with p = -1 at the root, and every source shares it: a call builds at most
-2(n-1) + n tables.  ``_table`` builds a missing table and every missing one
-below it; ``_reconstruct`` walks the same keys down from the source.
+with p = -1 at the root, and every source it roots shares it: a call builds
+at most 2(n-1) + n tables, fewer when sources are skipped.  ``_table``
+builds a missing table and every missing one below it; ``_reconstruct``
+walks the same keys down from the source.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Optional
 
+from .reach import reach_counts
 from .solvers import SolveResult, TrlpInstance, _certified_yes, _nearest_origin_label
 from .tgraph import (
     TemporalGraph, _is_tree, _useful_delta, compress_time, next_expanded_after, next_label_after,
@@ -152,9 +158,12 @@ def solve_trlp_tree(inst: TrlpInstance) -> SolveResult:
     delta = _useful_delta(inst.graph, inst.delta)
     g, shift = compress_time(inst.graph, delta)
     small = replace(inst, graph=g, delta=delta)
+    upper = reach_counts(inst.graph, inst.delta)
     tables: _Tables = {}
     best = 0
     for source in range(g.n):
+        if upper[source] <= best:  # can neither reach h nor raise the best
+            continue
         value = _table(small, tables, source, -1)
         score = value[inst.zeta][0]
         if score >= inst.h:

@@ -21,7 +21,10 @@ reshaped to parent's bag (``_reshape``: forgets, then introduces).  A side
 depends only on its link, so one call memoises it by (c, parent) and every
 source shares it, each arm reshaped once; a source forgets the side of the
 first bag holding it (parent -1) down to {source}, and sources rooted there
-share those forgets, memoised by (that bag, the forget's bag).
+share those forgets, memoised by (that bag, the forget's bag).  A source
+whose widened reach bound (``reach.reach_counts`` with every label free to
+move by ±delta) is below h cannot answer yes, and the DP's no carries no
+count, so such a source is skipped before it builds or counts anything.
 
 One context (``_Ctx``) holds a call's state: the decomposition, the sides,
 the candidate count and each edge's label images, each mapped to the moved
@@ -52,8 +55,9 @@ labels, and <= 2T+n whatever delta is; the certificate is mapped back and
 checked on the original graph, under the instance's delta.
 
 Scoped to micro parameters: the context's candidate count spans the whole
-call, counting each evaluated node once however many sources share it, and
-exceeding ``caps.tw_states`` triggers a refusal.
+call, counting each evaluated node once however many sources share it (and
+nothing for a skipped source), and exceeding ``caps.tw_states`` triggers a
+refusal.
 """
 
 from __future__ import annotations
@@ -67,6 +71,7 @@ from operator import add, itemgetter
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .limits import CapExceeded, WorkCaps, DEFAULT_CAPS
+from .reach import reach_counts
 from .solvers import SolveResult, TrlpInstance, _certified_yes
 from .tgraph import (
     Edge, _is_tree, _minimal_matching, _parse_lines, _useful_delta, compress_time, window,
@@ -617,15 +622,18 @@ def solve_trlp_treewidth(
     decomp: TreeDecomposition,
     caps: WorkCaps = DEFAULT_CAPS,
 ) -> SolveResult:
-    """Exact answer over all sources; smallest yes-source wins.  Sources share
-    every side of the decomposition they have in common, and
-    ``caps.tw_states`` bounds the candidates of the whole call, each
-    evaluated node counted once."""
+    """Exact answer over all sources; smallest yes-source wins.  Sources whose
+    widened reach bound is below h are skipped, the others share every side
+    of the decomposition they have in common, and ``caps.tw_states`` bounds
+    the candidates of the whole call, each evaluated node counted once."""
     delta = _useful_delta(inst.graph, inst.delta)
     g, shift = compress_time(inst.graph, delta)
     validate_decomposition(g.n, g.edges, decomp)
+    upper = reach_counts(inst.graph, inst.delta)
     ctx = _Ctx(replace(inst, graph=g, delta=delta), caps, decomp)
     for source in range(g.n):
+        if upper[source] < inst.h:  # cannot reach h however it re-times
+            continue
         records = _solve_for_source(ctx, source)
         if records is not None:
             return _certified_yes(inst, "treewidth", source, records, shift)

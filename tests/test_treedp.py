@@ -252,6 +252,22 @@ def test_tree_matches_oracle_sweep():
                 assert res.perturbation.perturbed_count <= inst.zeta
 
 
+def test_skipped_sources_leave_results_unchanged(monkeypatch):
+    # a source whose widened reach bound is at most the best so far can
+    # neither answer yes nor raise the no's count, and tables are memoised by
+    # directed edge whichever source builds them: the results equal those of
+    # a bound of n, which skips no source
+    for seed in range(100):
+        g = random_instance(seed, "tree").graph
+        for delta, zeta in itertools.product(range(3), repeat=2):
+            for h in range(1, g.n + 1):
+                inst = TrlpInstance(g, delta, zeta, h)
+                real = solve_trlp_tree(inst)
+                with monkeypatch.context() as m:
+                    m.setattr(treedp, "reach_counts", lambda graph, _delta: [graph.n] * graph.n)
+                    assert solve_trlp_tree(inst) == real, (seed, delta, zeta, h)
+
+
 def test_delta_past_lifetime_plus_n_answers_as_at_it():
     # every time in [1, T+n+1] lies in every window at delta = T+n, so a
     # larger delta must give the same answer, source, count and moves.  The

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from temporeach.limits import CapExceeded, WorkCaps
-from temporeach.reach import arrivals
+from temporeach.reach import arrivals, reach_counts
 from temporeach.solvers import TrlpInstance, solve_trlp_xp
 from temporeach.tgraph import (
     TemporalGraph,
@@ -348,7 +348,8 @@ def test_treewidth_cap_bounds_whole_call():
 
 
 def test_sources_share_sides(monkeypatch):
-    # on a no-instance every source runs, yet each side (c, parent) of the
+    # on a no-instance whose widened reach bound is n for every source (all
+    # ones at delta=3), every source runs, yet each side (c, parent) of the
     # decomposition is evaluated once, its reshape to parent's bag included,
     # and so is each forget on the chains from a root bag down to {source}:
     # the rule calls are the sides' own nodes plus those distinct forgets
@@ -365,7 +366,8 @@ def test_sources_share_sides(monkeypatch):
         monkeypatch.setattr(twdp, name, counted(getattr(twdp, name)))
     g = parse_graph("n 6\ne 0 5 1\n" + "".join(f"e {i} {i + 1} 1\n" for i in range(5)))
     d = decompose_exact_small(g.n, g.edges)
-    assert not solve_trlp_treewidth(TrlpInstance(g, 1, 0, g.n), d).answer
+    assert reach_counts(g, 3) == [g.n] * g.n
+    assert not solve_trlp_treewidth(TrlpInstance(g, 3, 0, g.n), d).answer
 
     bags = d.bags
     neighbours = [[b if a == c else a for a, b in d.links if c in (a, b)] for c in range(len(bags))]
@@ -391,6 +393,38 @@ def test_sources_share_sides(monkeypatch):
     bound = sum(own_nodes(c, p) for c, p in sides) + len(chains)
     assert bound == 32 and len(chains) < sum(len(bags[r]) - 1 for r in roots)
     assert calls[0] == bound, (calls[0], bound)
+
+
+def test_skipped_sources_leave_results_unchanged(monkeypatch):
+    # a source whose widened reach bound is below h cannot answer yes, and
+    # sides are memoised by link whichever source builds them: the results
+    # equal those under a bound of n, which skips no source.  Graphs with at
+    # most seven time-edges keep this to seconds.
+    for seed in range(24):
+        g = random_instance(seed, "treewidth2").graph
+        if g.num_time_edges() > 7:
+            continue
+        d = decompose_exact_small(g.n, g.edges)
+        for delta, zeta in itertools.product(range(3), repeat=2):
+            for h in range(1, g.n + 1):
+                inst = TrlpInstance(g, delta, zeta, h)
+                real = solve_trlp_treewidth(inst, d)
+                with monkeypatch.context() as m:
+                    m.setattr(twdp, "reach_counts", lambda graph, _delta: [graph.n] * graph.n)
+                    assert solve_trlp_treewidth(inst, d) == real, (seed, delta, zeta, h)
+
+
+def test_sources_below_h_are_never_solved(monkeypatch):
+    # the all-ones 6-cycle at delta=1 bounds every source at 5 < h = 6: no
+    # source runs, and under a cap of zero candidates the call still answers
+    calls = []
+    solve = twdp._solve_for_source
+    monkeypatch.setattr(twdp, "_solve_for_source", lambda ctx, s: calls.append(s) or solve(ctx, s))
+    g = parse_graph("n 6\ne 0 5 1\n" + "".join(f"e {i} {i + 1} 1\n" for i in range(5)))
+    assert reach_counts(g, 1) == [5] * g.n
+    d = decompose_exact_small(g.n, g.edges)
+    res = solve_trlp_treewidth(TrlpInstance(g, 1, 2, g.n), d, caps=WorkCaps(tw_states=0))
+    assert not res.answer and calls == []
 
 
 def test_root_chain_forgets_run_once(monkeypatch):
