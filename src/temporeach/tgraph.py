@@ -352,18 +352,23 @@ def compress_time(g: TemporalGraph, delta: int) -> tuple[TemporalGraph, dict[int
     """Order-preserving time compression for ±delta re-timings.
 
     Walks the sorted distinct labels, with a virtual label 0 in front, and
-    shrinks every gap wider than 2*delta+1 to exactly 2*delta+1.  Every window
-    [max(1, t-delta), t+delta] keeps its order, its overlaps and its clipping
-    at 1, and distances inside a run of close labels are unchanged, so strict
-    journeys, minimal matchings and nearest origins are the same on both
-    graphs.  Returns the compressed graph and, per compressed label, the
-    shift that maps it, and any time within delta of it, back.
+    shrinks the gap from 0 to at most delta+1 and every later gap to at most
+    2*delta+1.  Every window [max(1, t-delta), t+delta] keeps its order, its
+    overlaps and its clipping at 1 (a first window that is not clipped
+    starts at 1), and distances inside a run of close labels are unchanged,
+    so strict journeys, minimal matchings and nearest origins are the same on
+    both graphs.  So a graph whose labels are all >= delta+1 compresses to
+    the same labels after any upward shift, and with L >= 1 distinct labels
+    the compressed lifetime plus delta is at most L * (2*delta+1).  Returns
+    the compressed graph and, per compressed label, the shift that maps it,
+    and any time within delta of it, back.
     """
     new: dict[int, int] = {}
     prev = cur = 0
+    gap = delta + 1
     for t in sorted({t for ts in g.labels for t in ts}):
-        cur += min(t - prev, 2 * delta + 1)
-        new[t], prev = cur, t
+        cur += min(t - prev, gap)
+        new[t], prev, gap = cur, t, 2 * delta + 1
     labels = tuple(tuple(new[t] for t in ts) for ts in g.labels)
     return g._relabelled(labels), {c: t - c for t, c in new.items()}
 

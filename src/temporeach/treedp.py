@@ -18,9 +18,11 @@ all-sources sweep with every label widened by ±delta (``reach.reach_counts``)
 bounds what a source reaches under at most zeta re-timings, and a source whose
 bound is at most the best so far is never rooted.  It compresses time once:
 the DP runs on ``compress_time``'s copy of the graph with delta capped by
-``_useful_delta``, so its time axis has horizon <= (distinct labels) *
-(2*delta+1) + delta whatever the size of the labels, and <= 2T+n whatever
-delta is; the certificate is mapped back and checked on the original graph.
+``_useful_delta``, so its time axis has horizon = lifetime + delta, at most
+(distinct labels) * (2*delta+1) on a tree with an edge whatever the size of
+the labels, and <= 2T+n whatever delta is; shifting labels that are all
+>= delta+1 leaves it unchanged.  The certificate is mapped back and checked
+on the original graph.
 
 A vertex's table depends on the root only through its parent p: its subtree
 is its component of T - p, its children are its neighbours other than p in

@@ -38,6 +38,15 @@ under the chosen images.  Its arrivals are that stitch of the child's rows
 and the star's; its counts are the child's, read at the departure vector
 made earlier by what u reaches from its own departure time.
 
+The DP runs on DP time tau = t - 1: every label is >= 1, so departing at
+graph time 0 acts as departing at 1, and tau = 0 is the first time worth a
+column.  Departures and arrivals are in tau: an arrival at tau can go on at
+tau + 1, the star rows read each image label as label - 1, and the source
+departs at tau = 0.  Images, matchings and records stay in graph time.  The
+shift is monotone and drops only departure values equal to a kept one, so
+state order, deduplication and the first accepted root state are those of
+the DP on graph time.
+
 A departure vector gives each bag column a time in 0..horizon, or horizon+1
 for "does not depart".  The counts are a flat tuple indexed by the vector's
 base-(horizon+2) value, first column most significant.  The child entry a
@@ -50,9 +59,10 @@ offers, as prefix minima in table order; a forget inserts u's digit with
 
 The DP runs on ``compress_time``'s copy of the graph with delta capped by
 ``_useful_delta``, so departure and arrival times range over 0..horizon with
-horizon <= (distinct labels) * (2*delta+1) + delta whatever the size of the
-labels, and <= 2T+n whatever delta is; the certificate is mapped back and
-checked on the original graph, under the instance's delta.
+horizon = lifetime + delta - 1, which on a graph with edges is below
+(distinct labels) * (2*delta+1) whatever the size of the labels, and below
+2T+n whatever delta is; the certificate is mapped back and checked on the
+original graph, under the instance's delta.
 
 Scoped to micro parameters: the context's candidate count spans the whole
 call, counting each evaluated node once however many sources share it (and
@@ -252,7 +262,9 @@ class TwState(NamedTuple):
 
 
 class _Ctx:
-    """One call's state (see the module docstring)."""
+    """One call's state (see the module docstring).  ``horizon`` is the last
+    DP time tau = t - 1 worth departing at, 0 on an edgeless graph under
+    delta 0, and ``inf`` = horizon + 1 stands for "never"."""
 
     def __init__(self, inst: TrlpInstance, caps: WorkCaps, decomp: TreeDecomposition):
         self.g = inst.graph
@@ -261,7 +273,7 @@ class _Ctx:
         self.h = inst.h
         self.caps = caps
         self.decomp = decomp
-        self.horizon = self.g.lifetime + inst.delta
+        self.horizon = max(self.g.lifetime + inst.delta - 1, 0)
         self.inf = self.horizon + 1
         self.sides: dict[tuple, _Node] = {}
         self.candidates = 0
@@ -350,16 +362,17 @@ def _insert_digit(index: int, digit: int, scale: int, base: int) -> int:
 def _star_rows(
     ctx: _Ctx, k: int, u_i: int, images: Iterable[tuple[int, tuple[int, ...]]]
 ) -> tuple:
-    """Arrival rows of the star of bag column u_i, given (column, labels) of
-    its edges: v->u at the first label >= t, u->w, and v->u->w' strictly
-    later."""
+    """Arrival rows in DP time of the star of bag column u_i, given (column,
+    labels) of its edges in graph time: v->u at the first label > tau, u->w,
+    and v->u->w' strictly later."""
     inf = ctx.inf
-    # first[c][d]: first label >= d on u's edge to column c, for d <= inf + 1
+    # first[c][d]: the first label > d on u's edge to column c, less 1 (its
+    # arrival in DP time), for d <= inf + 1
     first = [[inf] * (inf + 2) for _ in range(k)]
     for c, labels in images:
         for d in range(inf + 2):
-            pos = bisect_left(labels, d)
-            first[c][d] = labels[pos] if pos < len(labels) else inf
+            pos = bisect_left(labels, d + 1)
+            first[c][d] = labels[pos] - 1 if pos < len(labels) else inf
     rows = []
     for i in range(k):
         per_t = []
@@ -596,7 +609,7 @@ def _solve_for_source(ctx: _Ctx, source: int) -> Optional[list]:
     for u in sorted(set(root.bag) - {source}):
         key = (root0, tuple(v for v in root.bag if v != u))
         root = ctx.sides[key] = ctx.sides.get(key) or _forget(ctx, root, u)
-    # the source departs at time 0
+    # the source departs at tau = 0, graph time 1
     accepted = next((key for key in sorted(root.states) if key.r_below[0] >= ctx.h - 1), None)
     if accepted is None:
         return None

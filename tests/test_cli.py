@@ -231,7 +231,7 @@ def test_gen_domset(runner, tmp_path):
     out = str(tmp_path / "inst.tg")
     res = runner.invoke(main, ["gen", "domset", "-g", gpath, "-r", "2", "-o", out])
     assert res.exit_code == 0
-    text = open(out).read()
+    text = (tmp_path / "inst.tg").read_text()
     assert text.startswith("n 11\n")
     assert "delta 1" in text and "zeta 2" in text and "h 11" in text
     solve = runner.invoke(
@@ -245,7 +245,7 @@ def test_gen_sat_and_oracle_agreement(runner, tmp_path):
     out = str(tmp_path / "tsep.tg")
     res = runner.invoke(main, ["gen", "sat-tsep", "-f", cnf, "-k", "4", "--delta", "1", "-o", out])
     assert res.exit_code == 0
-    text = open(out).read()
+    text = (tmp_path / "tsep.tg").read_text()
     assert "variant shortest" in text and "k 4" in text
 
 

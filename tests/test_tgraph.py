@@ -348,9 +348,9 @@ def test_compress_time_identity_and_ranks():
     ranks, shift = compress_time(g, 0)
     assert ranks.labels == ((1, 3), (2, 4), (3, 5))
     assert shift == {1: 0, 2: 0, 3: 1, 4: 3, 5: 4}
-    # wide gaps, the first one from 0 included, shrink to 2*delta+1
+    # wide gaps shrink to 2*delta+1, the first one from 0 to delta+1
     far, shift = compress_time(parse_graph("n 3\ne 0 1 50 51\ne 1 2 100\n"), 1)
-    assert far.labels == ((3, 4), (7,)) and shift == {3: 47, 4: 47, 7: 93}
+    assert far.labels == ((2, 3), (6,)) and shift == {2: 48, 3: 48, 6: 94}
 
 
 def test_with_labels_shares_structure_and_checks_replacements():

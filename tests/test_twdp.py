@@ -187,17 +187,20 @@ def test_leaf_state_shape():
 
 
 def test_introduce_isolated_vertex_rows():
-    # introducing a vertex with no bag edges: its own row is the trivial one
+    # introducing a vertex with no bag edges: its own row is the trivial one;
+    # the edgeless graph keeps the one departure time tau = 0 even at delta 0
     g = TemporalGraph(2, (), ())
-    inst = TrlpInstance(g, 1, 0, 1)
-    d = TreeDecomposition((frozenset({0, 1}),), ())
-    node = _reshape(_Ctx(inst, WorkCaps(), d), _LEAF, frozenset({0}))
-    assert node.bag == (0,) and node.children == (_LEAF,)
-    assert len(node.states) == 1
-    (s,) = node.states
-    horizon = g.lifetime + inst.delta
-    for t in range(horizon + 1):
-        assert s.r_in[0][t][0] == t
+    for delta in (1, 0):
+        inst = TrlpInstance(g, delta, 0, 1)
+        d = TreeDecomposition((frozenset({0, 1}),), ())
+        node = _reshape(_Ctx(inst, WorkCaps(), d), _LEAF, frozenset({0}))
+        assert node.bag == (0,) and node.children == (_LEAF,)
+        assert len(node.states) == 1
+        (s,) = node.states
+        horizon = _Ctx(inst, WorkCaps(), d).horizon
+        assert len(s.r_in[0]) == horizon + 1 == 1
+        for t in range(horizon + 1):
+            assert s.r_in[0][t][0] == t
 
 
 @pytest.mark.parametrize(
@@ -207,7 +210,8 @@ def test_introduce_isolated_vertex_rows():
 )
 def test_introduce_arrivals_match_relabelled_graph(text):
     # one bag holding every vertex: the top introduce node's r_in must be the
-    # foremost arrivals of the graph under that state's images
+    # foremost arrivals of the graph under that state's images, in DP time
+    # tau = t - 1 (departing at tau means departing at graph time tau + 1)
     g = parse_graph(text)
     inst = TrlpInstance(g, 1, 3, 3)
     d = TreeDecomposition((frozenset({0, 1, 2}),), ())
@@ -219,11 +223,11 @@ def test_introduce_arrivals_match_relabelled_graph(text):
         pg = g.with_labels(dict(zip(ctx.bag_edges((0, 1, 2)), state.p)))
         for v in range(3):
             for t in range(ctx.horizon + 1):
-                want = arrivals(pg, v, min_departure=t)
+                want = arrivals(pg, v, min_departure=t + 1)
                 for x in range(3):
                     if x != v:
                         got = state.r_in[v][t][x]
-                        assert got == (ctx.inf if want[x] is None else want[x]), (state.p, v, t, x)
+                        assert got == (ctx.inf if want[x] is None else want[x] - 1), (state.p, v, t, x)
 
 
 def test_forget_child_index_inserts_u_digit():
