@@ -20,9 +20,10 @@ temporal graphs" (PVLDB 2014), made bit-parallel over sources, and in
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, pairwise
 from typing import Iterator, Optional
 
 from .tgraph import TemporalGraph, _useful_delta, next_expanded_after, next_label_after
@@ -140,14 +141,26 @@ def _runs(ts: tuple[int, ...], delta: int) -> Iterator[tuple[int, int]]:
 
 def reach_counts(g: TemporalGraph, delta: int = 0) -> list[int]:
     """Reach count of every source when each edge is active at its labels, or
-    over their ±delta windows (clipped at 1) when delta > 0."""
+    over their ±delta windows (clipped at 1) when delta > 0.  A stretch of
+    times with the same active edges makes at most n - 1 layers."""
     layers: dict[int, list[tuple[int, int]]] = defaultdict(list)
     if delta:
         delta = _useful_delta(g, delta)
-        for e, ts in zip(g.edges, g.labels):
-            for lo, hi in _runs(ts, delta):
-                for t in range(lo, hi + 1):
-                    layers[t].append(e)
+        if g.lifetime + 2 * delta >= g.n:
+            # a run may be longer than n - 1 layers; the active edges change
+            # only where a run starts or ends, and the layers of a stretch
+            # past its first n - 1 change nothing
+            runs = [(e, lo, hi) for e, ts in zip(g.edges, g.labels) for lo, hi in _runs(ts, delta)]
+            bounds = sorted({t for _e, lo, hi in runs for t in (lo, hi + 1)})
+            for e, lo, hi in runs:
+                for a, b in pairwise(bounds[bisect_left(bounds, lo) : bisect_right(bounds, hi + 1)]):
+                    for t in range(a, min(b, a + g.n - 1)):
+                        layers[t].append(e)
+        else:
+            for e, ts in zip(g.edges, g.labels):
+                for lo, hi in _runs(ts, delta):
+                    for t in range(lo, hi + 1):
+                        layers[t].append(e)
     else:
         for e, ts in zip(g.edges, g.labels):
             for t in ts:

@@ -47,15 +47,20 @@ shift is monotone and drops only departure values equal to a kept one, so
 state order, deduplication and the first accepted root state are those of
 the DP on graph time.
 
-A departure vector gives each bag column a time in 0..horizon, or horizon+1
-for "does not depart".  The counts are a flat tuple indexed by the vector's
-base-(horizon+2) value, first column most significant.  The child entry a
-vector reads depends only on arrival rows, not on the child's counts: the
-stitched rows at a join, u's row at an introduce, the u column of the kept
-rows at a forget.  So a rule call builds each index map once per distinct
-rows (``_index_map``: per vector, the elementwise minimum of its columns'
-offers, as prefix minima in table order; a forget inserts u's digit with
-``_insert_digit``), and every count table is one ``itemgetter`` gather.
+A bag column's departure times 0..horizon fall into classes, the maximal
+runs over which its arrival row (own entry aside) and the counts with it
+departing there stay the same; "does not depart" (inf = horizon + 1) is a
+class of its own.  A state keeps each column's class starts (``cuts``, inf
+last), one row per departing class (own entry inf) and the counts per class
+vector, a flat tuple in mixed radix, first column most significant.  A rule
+works on the common refinement of its inputs' cuts (at an introduce also the
+new edges' image labels), where every table is constant, builds each index
+map once per distinct inputs, reads every count table with one
+``itemgetter`` gather, and merges classes back (``_state``): states are equal
+exactly when their dense tables are.  Each state keeps every witness that
+derives it, and a certificate follows, from the first accepted root state,
+the first witness with child states in dense-table order (``_Dense``): the
+tie-break of taking child states in that order and keeping first witnesses.
 
 The DP runs on ``compress_time``'s copy of the graph with delta capped by
 ``_useful_delta``, so departure and arrival times range over 0..horizon with
@@ -73,11 +78,11 @@ refusal.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from functools import cache
 from math import ceil, log2
-from operator import add, itemgetter
+from operator import add, itemgetter, mul
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .limits import CapExceeded, WorkCaps, DEFAULT_CAPS
@@ -251,11 +256,14 @@ def parse_decomposition(text: str | bytes) -> TreeDecomposition:
 
 
 class TwState(NamedTuple):
-    """Hashable state: bag-edge images, in-subgraph foremost arrivals, counts
-    of reached forgotten vertices per departure assignment, and the moves on
-    every edge of the processed subgraph, charged when each is introduced."""
+    """Hashable state: bag-edge images, each bag column's departure classes
+    (see the module docstring), in-subgraph foremost arrivals per departing
+    class, counts of reached forgotten vertices per class vector, and the
+    moves on every edge of the processed subgraph, charged when each is
+    introduced."""
 
     p: tuple[tuple[int, ...], ...]
+    cuts: tuple[tuple[int, ...], ...]
     r_in: tuple[tuple[tuple[int, ...], ...], ...]
     r_below: tuple[int, ...]
     moves: int
@@ -307,41 +315,28 @@ class _Ctx:
         return out
 
 
-def _index_map(ctx: _Ctx, columns: list, width: int) -> list:
-    """Per departure vector in table order, the table index of its key: the
-    elementwise minimum of its columns' offers, ``(own, reach)`` departing at
-    d offering d at entry ``own`` and one more than ``reach[d]`` if d is a
-    departure time.  Prefix minima run over all columns but the last, which
-    is read through per-entry rows of place-value terms."""
-    base = ctx.inf + 1
-    terms = [[x * base ** (width - 1 - j) for x in range(base + 1)] for j in range(width)]
-    neutral = (base,) * width
-    # a leading one-offer column changes no order and gives a bag with no
-    # columns its one vector
-    offers = [[neutral]]
-    for own, reach in columns:
-        offers.append([])
-        for d in range(base):
-            offer = list(neutral) if reach is None or d == base - 1 else [a + 1 for a in reach[d]]
-            if own is not None:
-                offer[own] = min(offer[own], d)
-            offers[-1].append(offer)
-    *head, last = offers
-    keys = [neutral]
-    for column in head:
-        keys = [tuple(map(min, key, offer)) for key in keys for offer in column]
-    # rows[j][x]: entry j's term per last departure, the prefix holding x
-    rows = [
-        list(zip(*(term[:o] + [term[o]] * (base + 1 - o) for o in (off[j] for off in last))))
-        for j, term in enumerate(terms)
-    ]
-    out: list[int] = []
-    for key in keys:
-        row = [0] * len(last)
-        for j, x in enumerate(key):
-            row = map(add, row, rows[j][x])
-        out.extend(row)
-    return out
+def _places(sizes: Iterable[int]) -> list[int]:
+    """Place values of a class vector's table index, first column most
+    significant, for columns of ``sizes`` classes each."""
+    return list(itertools.accumulate(reversed(list(sizes)), mul, initial=1))[-2::-1]
+
+
+def _join_index(rin: tuple, side: tuple) -> list:
+    """Per class vector of the join's arrival table ``rin`` in table order, a
+    side's table index (cuts ``side``) of its key: per column, the earliest
+    of its own departure and one after each arrival at it, as prefix minima
+    of place-weighted classes, which keep the order of times."""
+    places = _places(map(len, side))
+    never = [(len(cs) - 1) * place for cs, place in zip(side, places)]
+    keys = [never]
+    for i, (cuts, rows) in enumerate(zip(*rin)):
+        offers = [
+            [place * (bisect_right(cs, t if j == i else a + 1) - 1)
+             for j, (cs, a, place) in enumerate(zip(side, row, places))]
+            for t, row in zip(cuts, rows)
+        ]
+        keys = [list(map(min, key, offer)) for key in keys for offer in offers + [never]]
+    return list(map(sum, keys))
 
 
 def _gather(index: list[int]) -> Callable[[tuple], tuple]:
@@ -351,46 +346,97 @@ def _gather(index: list[int]) -> Callable[[tuple], tuple]:
     return get if len(index) > 1 else lambda table: (get(table),)
 
 
-def _insert_digit(index: int, digit: int, scale: int, base: int) -> int:
-    """Index of the departure vector at ``index`` after inserting ``digit``
-    with place value ``scale`` (a power of ``base``): the digits below it keep
-    their places and the digits above it move up one."""
-    high, low = divmod(index, scale)
-    return (high * base + digit) * scale + low
+def _state(p: tuple, cuts: tuple, rows: tuple, table: tuple, moves: int) -> TwState:
+    """The state on its coarsest cuts: two adjacent departing classes of a
+    column merge when their arrival rows and their count slices agree, so
+    equal states are those with equal dense tables."""
+    places, merged = _places(map(len, cuts)), []
+    for rs, cs, place in zip(rows, cuts, places):
+        span = len(cs) * place
+        merged.append(set())
+        for r, lo in ((r, r * place) for r in range(1, len(rs)) if rs[r] == rs[r - 1]):
+            # the counts with this column in class r against class r - 1
+            if all(table[o + lo : o + lo + place] == table[o + lo - place : o + lo]
+                   for o in range(0, len(table), span)):
+                merged[-1].add(r)
+    if not any(merged):
+        return TwState(p, cuts, rows, table, moves)
+    picks = [[r for r in range(len(cs)) if r not in m] for cs, m in zip(cuts, merged)]
+    cuts = tuple(tuple(cs[r] for r in pick) for cs, pick in zip(cuts, picks))
+    return TwState(p, cuts, *_pick(rows, table, places, picks), moves)
+
+
+def _pick(rows: tuple, table: tuple, places: list, picks: list) -> tuple:
+    """Rows and counts read at the given classes of each column, the "does
+    not depart" class last."""
+    index = [0]
+    for pick, place in zip(picks, places):
+        index = [i + r * place for i in index for r in pick]
+    return tuple(tuple(rs[r] for r in pick[:-1]) for rs, pick in zip(rows, picks)), _gather(index)(table)
+
+
+class _Dense:
+    """Sort key ordering states as their dense tables would, without building
+    them: on the common refinement of two states' cuts, the first differing
+    cell in table order holds the first differing dense entry, at its least
+    corner.  Equal keys are equal states, whose tables are canonical."""
+
+    def __init__(self, state: TwState):
+        self.state = state
+
+    def __eq__(self, other) -> bool:
+        return self.state == other.state
+
+    def __lt__(self, other) -> bool:
+        a, b = self.state, other.state
+        if a.p != b.p:
+            return a.p < b.p
+        common = [sorted({*ca, *cb}) for ca, cb in zip(a.cuts, b.cuts)]
+        refined = [
+            _pick(x.r_in, x.r_below, _places(map(len, x.cuts)),
+                  [[bisect_right(cs, t) - 1 for t in fine] for cs, fine in zip(x.cuts, common)])
+            for x in (a, b)
+        ]
+        return (*refined[0], a.moves) < (*refined[1], b.moves)
 
 
 def _star_rows(
     ctx: _Ctx, k: int, u_i: int, images: Iterable[tuple[int, tuple[int, ...]]]
 ) -> tuple:
-    """Arrival rows in DP time of the star of bag column u_i, given (column,
+    """Arrival table in DP time of the star of bag column u_i, given (column,
     labels) of its edges in graph time: v->u at the first label > tau, u->w,
-    and v->u->w' strictly later."""
+    and v->u->w' strictly later.  A label t ends a class at tau = t of u's
+    column and of its edge's other column."""
     inf = ctx.inf
     # first[c][d]: the first label > d on u's edge to column c, less 1 (its
     # arrival in DP time), for d <= inf + 1
     first = [[inf] * (inf + 2) for _ in range(k)]
+    cuts = [{0, inf} for _ in range(k)]
     for c, labels in images:
         for d in range(inf + 2):
             pos = bisect_left(labels, d + 1)
             first[c][d] = labels[pos] - 1 if pos < len(labels) else inf
+        cuts[c].update(labels)
+        cuts[u_i].update(labels)
+    cuts = tuple(tuple(sorted(cs)) for cs in cuts)
     rows = []
     for i in range(k):
-        per_t = []
-        for t in range(ctx.horizon + 1):
-            a, dep = (t, t) if i == u_i else (first[i][t], first[i][t] + 1)
+        per = []
+        for t in cuts[i][:-1]:
+            a, dep = (inf, t) if i == u_i else (first[i][t], first[i][t] + 1)
             row = [first[j][dep] for j in range(k)]
             row[u_i] = a
-            row[i] = t
-            per_t.append(tuple(row))
-        rows.append(tuple(per_t))
-    return tuple(rows)
+            row[i] = inf
+            per.append(tuple(row))
+        rows.append(tuple(per))
+    return cuts, tuple(rows)
 
 
 def _introduce_states(
     ctx: _Ctx, bag: tuple[int, ...], u: int, child_bag: tuple[int, ...],
-    child_states: dict[TwState, tuple],
-) -> dict[TwState, tuple]:
-    horizon, inf = ctx.horizon, ctx.inf
+    child_states: dict[TwState, list],
+) -> dict[TwState, list]:
+    inf = ctx.inf
     k = len(bag)
     vidx = {v: i for i, v in enumerate(bag)}
     u_i = vidx[u]
@@ -399,31 +445,36 @@ def _introduce_states(
     new_edges = tuple(e for e in edges_s if u in e)
     new_cols = [vidx[e[0] if e[1] == u else e[1]] for e in new_edges]
     image_lists = [ctx.images(e).items() for e in new_edges]
-    u_alone = tuple(tuple(t if j == u_i else inf for j in range(k)) for t in range(horizon + 1))
     combos = list(itertools.product(*image_lists))
     # the memos below live for this call: star rows by combo index, the same
-    # for every child state, the stitch by its inputs, the gather by u's row
+    # for every child state, the stitch by its inputs, the gather by u's rows
     stars = cache(lambda ci: _star_rows(ctx, k, u_i, zip(new_cols, (i for i, _c in combos[ci]))))
 
     @cache
-    def stitch(r_in, ci):
+    def stitch(cuts, r_in, ci):
         # the child's arrivals with u added as an isolated vertex
-        child_rows = tuple(
-            u_alone if i == u_i
-            else tuple(row[:u_i] + (inf,) + row[u_i:] for row in r_in[i - (i > u_i)])
-            for i in range(k)
-        )
-        return _join_rin(ctx, bag, child_rows, stars(ci))
+        rows = [tuple(row[:u_i] + (inf,) + row[u_i:] for row in rs) for rs in r_in]
+        rows.insert(u_i, ((inf,) * k,))
+        return _join_rin(ctx, (cuts[:u_i] + ((0, inf),) + cuts[u_i:], tuple(rows)), stars(ci))
 
-    # a child departure vector, made earlier by what u reaches from its own
+    # a child class vector, made earlier by what u reaches from its own: per
+    # u class, the index terms of the columns before u and after u, each
+    # column's departure clamped at one after u's arrival there
     @cache
-    def gather(u_row):
-        columns = [(i - (i > u_i), None) for i in range(k)]
-        columns[u_i] = (None, [row[:u_i] + row[u_i + 1 :] for row in u_row])
-        return _gather(_index_map(ctx, columns, k - 1))
+    def gather(child_cuts, cuts, u_rows):
+        blocks, places = [], _places(map(len, child_cuts))
+        for row in u_rows + ((inf,) * k,):
+            sums = [[0], [0]]
+            for j, (cs, place) in enumerate(zip(child_cuts, places)):
+                i = j + (j >= u_i)
+                terms = [place * (bisect_right(cs, min(t, row[i] + 1)) - 1) for t in cuts[i]]
+                sums[i > u_i] = [a + b for a in sums[i > u_i] for b in terms]
+            blocks.append(sums)
+        return _gather([before[x] + b for x in range(len(blocks[0][0]))
+                        for before, after in blocks for b in after])
 
-    out: dict[TwState, tuple] = {}
-    for ckey in sorted(child_states):
+    out: dict[TwState, list] = {}
+    for ckey in child_states:
         for ci, combo in enumerate(combos):
             ctx.count("introduce")
             moves = ckey.moves + sum(len(pairs) for _img, pairs in combo)
@@ -432,48 +483,43 @@ def _introduce_states(
             p_map = dict(zip(edges_child, ckey.p))
             p_map.update((e, img) for e, (img, _c) in zip(new_edges, combo))
             p_s = tuple(p_map[e] for e in edges_s)
-            rin_s = stitch(ckey.r_in, ci)
-            state = TwState(p_s, rin_s, gather(rin_s[u_i])(ckey.r_below), moves)
-            if state not in out:
-                out[state] = (ckey,)
+            cuts, rows = stitch(ckey.cuts, ckey.r_in, ci)
+            table = gather(ckey.cuts, cuts, rows[u_i])(ckey.r_below)
+            out.setdefault(_state(p_s, cuts, rows, table, moves), []).append((ckey,))
     return out
 
 
 def _forget_states(
     ctx: _Ctx, bag: tuple[int, ...], u: int, child_bag: tuple[int, ...],
-    child_states: dict[TwState, tuple],
-) -> dict[TwState, tuple]:
+    child_states: dict[TwState, list],
+) -> dict[TwState, list]:
     inf, h = ctx.inf, ctx.h
     cidx = {v: i for i, v in enumerate(child_bag)}
     u_i = cidx[u]
     kept = [i for i, e in enumerate(ctx.bag_edges(child_bag)) if u not in e]
     keep_cols = [cidx[v] for v in bag]
-    base = inf + 1
-    scale = base ** (len(bag) - u_i)  # place value of u's digit in the child
 
-    # each vector's child index with u's digit 0, to which u's digit adds
-    at_zero = [_insert_digit(ui, 0, scale, base) for ui in range(base ** len(bag))]
-    u_digit = [scale * min(x, inf) for x in range(base + 1)]
+    @cache  # for this call, by the child's cuts and the u columns
+    def gather(child_cuts, u_cols):
+        # per class vector, its child index with u in class 0 and the time
+        # u departs: one after the first arrival at u, inf + 1 if none
+        places = _places(map(len, child_cuts))
+        keys = [(0, inf + 1)]
+        for c, col in zip(keep_cols, u_cols):
+            offers = [(r * places[c], a + 1) for r, a in enumerate(col)] + [(len(col) * places[c], inf + 1)]
+            keys = [(i + di, min(x, a)) for i, x in keys for di, a in offers]
+        index = [i + places[u_i] * (bisect_right(child_cuts[u_i], x) - 1) for i, x in keys]
+        return _gather(index), [int(x <= inf) for _i, x in keys]
 
-    @cache  # for this call, by the u columns
-    def gather(u_cols):
-        # u's key: one after the first arrival at u from the departures
-        columns = [(None, [(a,) for a in col]) for col in u_cols]
-        keys = _index_map(ctx, columns, 1)
-        index = map(add, at_zero, map(u_digit.__getitem__, keys))
-        return _gather(list(index)), [int(x <= inf) for x in keys]
-
-    out: dict[TwState, tuple] = {}
-    for ckey in sorted(child_states):
+    out: dict[TwState, list] = {}
+    for ckey in child_states:
         ctx.count("forget")
         p_s = tuple(ckey.p[i] for i in kept)
-        rows = [ckey.r_in[c] for c in keep_cols]
-        rin_s = tuple(tuple(tuple(row[c] for c in keep_cols) for row in rs) for rs in rows)
-        get, reached = gather(tuple(tuple(row[u_i] for row in rs) for rs in rows))
+        cuts = tuple(ckey.cuts[c] for c in keep_cols)
+        rows = tuple(tuple(tuple(row[c] for c in keep_cols) for row in ckey.r_in[c]) for c in keep_cols)
+        get, reached = gather(ckey.cuts, tuple(tuple(row[u_i] for row in ckey.r_in[c]) for c in keep_cols))
         rbelow = tuple(map(min, map(add, get(ckey.r_below), reached), itertools.repeat(h)))
-        state = TwState(p_s, rin_s, rbelow, ckey.moves)
-        if state not in out:
-            out[state] = (ckey,)
+        out.setdefault(_state(p_s, cuts, rows, rbelow, ckey.moves), []).append((ckey,))
     return out
 
 
@@ -481,53 +527,54 @@ def join_rounds(bag_size: int) -> int:
     return ceil(log2(bag_size)) if bag_size > 1 else 0
 
 
-def _join_rin(ctx: _Ctx, bag: tuple[int, ...], r1, r2):
-    """Arrival rows of the union of two subgraphs that meet only in the bag
-    (a join's two sides, or an introduce node's child and star).  A foremost
-    path splits at bag vertices into at most k - 1 one-sided segments, and
-    each round doubles the number of segments a row covers."""
-    horizon = ctx.horizon
-    k = len(bag)
-    cur = [
-        [tuple(min(a, b) for a, b in zip(r1[i][t], r2[i][t])) for t in range(horizon + 1)]
-        for i in range(k)
-    ]
+def _join_rin(ctx: _Ctx, r1: tuple, r2: tuple) -> tuple:
+    """Arrival table (cuts, rows) of the union of two subgraphs that meet
+    only in the bag (a join's two sides, or an introduce node's child and
+    star), on the common refinement of their cuts.  A foremost path splits
+    at bag vertices into at most k - 1 one-sided segments, and each round
+    doubles the number of segments a row covers."""
+    horizon, inf = ctx.horizon, ctx.inf
+    (cuts1, rows1), (cuts2, rows2) = r1, r2
+    k = len(cuts1)
+    cuts = tuple(tuple(sorted(set(a) | set(b))) for a, b in zip(cuts1, cuts2))
+    cur = [[tuple(map(min, rs1[bisect_right(c1, t) - 1], rs2[bisect_right(c2, t) - 1])) for t in cs[:-1]]
+           for cs, c1, c2, rs1, rs2 in zip(cuts, cuts1, cuts2, rows1, rows2)]
     for _ in range(join_rounds(k)):
         nxt = []
         for i in range(k):
-            per_t = []
-            for t in range(horizon + 1):
-                base = cur[i][t]
+            per = []
+            for base in cur[i]:
                 best = list(base)
-                for x_i in range(k):
-                    ax = base[x_i]
+                for x_i, ax in enumerate(base):
                     if ax >= horizon:  # nothing departs after the horizon
                         continue
-                    via = cur[x_i][ax + 1]
+                    via = cur[x_i][bisect_right(cuts[x_i], ax + 1) - 1]
                     for j in range(k):
                         if via[j] < best[j]:
                             best[j] = via[j]
-                per_t.append(tuple(best))
-            nxt.append(per_t)
+                best[i] = inf
+                per.append(tuple(best))
+            nxt.append(per)
         cur = nxt
-    return tuple(tuple(row) for row in cur)
+    return cuts, tuple(map(tuple, cur))
 
 
 def _join_states(
     ctx: _Ctx, bag: tuple[int, ...],
-    left: dict[TwState, tuple], right: dict[TwState, tuple],
-) -> dict[TwState, tuple]:
-    h, k = ctx.h, len(bag)
+    left: dict[TwState, list], right: dict[TwState, list],
+) -> dict[TwState, list]:
+    h = ctx.h
     edges_s = ctx.bag_edges(bag)
     by_p_right: dict[tuple, list[TwState]] = {}
-    for rkey in sorted(right):
+    for rkey in right:
         by_p_right.setdefault(rkey.p, []).append(rkey)
-    # for this call: the stitch by the pair of r_in, the gather by the stitch,
-    # which makes a departure vector earlier by what its columns reach
-    stitch = cache(lambda r1, r2: _join_rin(ctx, bag, r1, r2))
-    gather = cache(lambda rin: _gather(_index_map(ctx, list(enumerate(rin)), k)))
-    out: dict[TwState, tuple] = {}
-    for lkey in sorted(left):
+    # for this call: the stitch by the pair of arrival tables, the gather by
+    # the stitch and a side's cuts, which makes a class vector earlier by
+    # what its columns reach
+    stitch = cache(lambda r1, r2: _join_rin(ctx, r1, r2))
+    gather = cache(lambda rin, side: _gather(_join_index(rin, side)))
+    out: dict[TwState, list] = {}
+    for lkey in left:
         for rkey in by_p_right.get(lkey.p, ()):
             ctx.count("join")
             # both sides charged the bag edges' moves
@@ -535,28 +582,25 @@ def _join_states(
             moves = lkey.moves + rkey.moves - shared
             if moves > ctx.zeta:
                 continue
-            rin = stitch(lkey.r_in, rkey.r_in)
-            get = gather(rin)
-            both = map(add, get(lkey.r_below), get(rkey.r_below))
+            rin = stitch((lkey.cuts, lkey.r_in), (rkey.cuts, rkey.r_in))
+            both = map(add, gather(rin, lkey.cuts)(lkey.r_below), gather(rin, rkey.cuts)(rkey.r_below))
             rbelow = tuple(map(min, both, itertools.repeat(h)))
-            state = TwState(lkey.p, rin, rbelow, moves)
-            if state not in out:
-                out[state] = (lkey, rkey)
+            out.setdefault(_state(lkey.p, *rin, rbelow, moves), []).append((lkey, rkey))
     return out
 
 
 class _Node(NamedTuple):
     """An evaluated nice-decomposition node: its sorted bag, its states (each
-    mapped to the child states that witness it) and its child nodes.  One
-    child and a larger bag is an introduce node, one child and a smaller bag a
-    forget node, two children a join."""
+    mapped to its witnesses, tuples of one child state per child) and its
+    child nodes.  One child and a larger bag is an introduce node, one child
+    and a smaller bag a forget node, two children a join."""
 
     bag: tuple[int, ...]
-    states: dict[TwState, tuple]
+    states: dict[TwState, list]
     children: tuple["_Node", ...]
 
 
-_LEAF = _Node((), {TwState((), (), (0,), 0): ()}, ())
+_LEAF = _Node((), {TwState((), (), (), (0,), 0): [()]}, ())
 
 
 def _forget(ctx: _Ctx, node: _Node, u: int) -> _Node:
@@ -610,7 +654,7 @@ def _solve_for_source(ctx: _Ctx, source: int) -> Optional[list]:
         key = (root0, tuple(v for v in root.bag if v != u))
         root = ctx.sides[key] = ctx.sides.get(key) or _forget(ctx, root, u)
     # the source departs at tau = 0, graph time 1
-    accepted = next((key for key in sorted(root.states) if key.r_below[0] >= ctx.h - 1), None)
+    accepted = min((key for key in root.states if key.r_below[0] >= ctx.h - 1), key=_Dense, default=None)
     if accepted is None:
         return None
     images = sorted(_collect_images(ctx, root, accepted).items())
@@ -626,7 +670,9 @@ def _collect_images(ctx: _Ctx, root: _Node, root_key: TwState) -> dict[Edge, tup
             prev = images.get(e)
             assert prev is None or prev == image
             images[e] = image
-        stack.extend(zip(node.children, node.states[key]))
+        # the witness met first with the child states in dense-table order
+        first = min(node.states[key], key=lambda witness: tuple(map(_Dense, witness)))
+        stack.extend(zip(node.children, first))
     return images
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+from bisect import bisect_right
 
 import pytest
 
@@ -21,7 +22,6 @@ from temporeach.twdp import (
     DecompositionError,
     TreeDecomposition,
     _Ctx,
-    _insert_digit,
     _join_rin,
     _Node,
     _collect_images,
@@ -110,6 +110,25 @@ def nice_root(ctx, source):
     return _reshape(ctx, _side(ctx, root0, -1), frozenset({source}))
 
 
+def expand(ctx, state):
+    """The state's dense tables: ``r_in[v][tau]``, the arrival row of bag
+    column v departing at DP time tau, for tau in 0..horizon; and
+    ``r_below``, indexed by the departure vector's base-(horizon+2) value,
+    first column most significant, horizon+1 meaning "does not depart"."""
+    # per column, each time's class: the last cut at or before it
+    where = [[bisect_right(cuts, t) - 1 for t in range(ctx.inf + 1)] for cuts in state.cuts]
+    r_in = tuple(
+        tuple(tuple(t if j == i else a for j, a in enumerate(rows[where[i][t]])) for t in range(ctx.horizon + 1))
+        for i, rows in enumerate(state.r_in)
+    )
+    places = twdp._places(len(cuts) for cuts in state.cuts)
+    r_below = tuple(
+        state.r_below[sum(where[i][t] * place for i, (t, place) in enumerate(zip(vec, places)))]
+        for vec in itertools.product(range(ctx.inf + 1), repeat=len(state.cuts))
+    )
+    return r_in, r_below
+
+
 def nice_nodes(root):
     out, stack = [], [root]
     while stack:
@@ -183,7 +202,8 @@ def test_leaf_state_shape():
     for leaf in leaves:
         assert len(leaf.states) == 1
         (s,) = leaf.states
-        assert s.p == () and s.r_in == () and s.r_below == (0,) and s.moves == 0
+        assert s.p == () and s.moves == 0
+        assert expand(_Ctx(inst, WorkCaps(), d), s) == ((), (0,))
 
 
 def test_introduce_isolated_vertex_rows():
@@ -193,14 +213,15 @@ def test_introduce_isolated_vertex_rows():
     for delta in (1, 0):
         inst = TrlpInstance(g, delta, 0, 1)
         d = TreeDecomposition((frozenset({0, 1}),), ())
-        node = _reshape(_Ctx(inst, WorkCaps(), d), _LEAF, frozenset({0}))
+        ctx = _Ctx(inst, WorkCaps(), d)
+        node = _reshape(ctx, _LEAF, frozenset({0}))
         assert node.bag == (0,) and node.children == (_LEAF,)
         assert len(node.states) == 1
         (s,) = node.states
-        horizon = _Ctx(inst, WorkCaps(), d).horizon
-        assert len(s.r_in[0]) == horizon + 1 == 1
-        for t in range(horizon + 1):
-            assert s.r_in[0][t][0] == t
+        r_in, _r_below = expand(ctx, s)
+        assert len(r_in[0]) == ctx.horizon + 1 == 1
+        for t in range(ctx.horizon + 1):
+            assert r_in[0][t][0] == t
 
 
 @pytest.mark.parametrize(
@@ -221,28 +242,40 @@ def test_introduce_arrivals_match_relabelled_graph(text):
     assert len({s.p for s in top.states}) > 20
     for state in top.states:
         pg = g.with_labels(dict(zip(ctx.bag_edges((0, 1, 2)), state.p)))
+        r_in, _r_below = expand(ctx, state)
         for v in range(3):
             for t in range(ctx.horizon + 1):
                 want = arrivals(pg, v, min_departure=t + 1)
                 for x in range(3):
                     if x != v:
-                        got = state.r_in[v][t][x]
+                        got = r_in[v][t][x]
                         assert got == (ctx.inf if want[x] is None else want[x] - 1), (state.p, v, t, x)
 
 
-def test_forget_child_index_inserts_u_digit():
-    # forget reads the child's count at the parent's departure vector with u's
-    # departure inserted at u's column; the arithmetic index must be that
-    # vector's position in itertools.product order
-    for base in (2, 3, 5):
-        for size in range(4):
-            child_order = {vec: i for i, vec in enumerate(itertools.product(range(base), repeat=size + 1))}
-            for col in range(size + 1):
-                scale = base ** (size - col)
-                for index, vec in enumerate(itertools.product(range(base), repeat=size)):
-                    for digit in range(base):
-                        want = child_order[vec[:col] + (digit,) + vec[col:]]
-                        assert _insert_digit(index, digit, scale, base) == want
+def test_class_vector_index_is_product_order():
+    # a class vector's table index, first column most significant, must be
+    # its position in itertools.product order; so must a forget's child
+    # index, u's class added at its place value, and the index ``_pick``
+    # reads at chosen classes, the product position of those classes
+    for sizes in [(), (2,), (3, 1), (2, 3, 4), (1, 5, 2, 3)]:
+        places = twdp._places(sizes)
+        order = {vec: i for i, vec in enumerate(itertools.product(*map(range, sizes)))}
+        for vec, index in order.items():
+            assert sum(d * place for d, place in zip(vec, places)) == index
+        for col in range(len(sizes)):
+            rest = sizes[:col] + sizes[col + 1 :]
+            for vec in itertools.product(*map(range, rest)):
+                at_zero = sum(d * places[c + (c >= col)] for c, d in enumerate(vec))
+                for digit in range(sizes[col]):
+                    assert at_zero + digit * places[col] == order[vec[:col] + (digit,) + vec[col:]]
+    cuts = ((0, 4, 9), (0, 9), (0, 2, 3, 9))
+    rows = (("a", "b"), ("c",), ("d", "e", "f"))
+    picks = [[0, 0, 1, 1, 2], [0, 0, 1], [0, 2, 3]]
+    places = twdp._places(map(len, cuts))
+    order = {vec: i for i, vec in enumerate(itertools.product(*(range(len(c)) for c in cuts)))}
+    r_in, r_below = twdp._pick(rows, tuple(range(len(order))), places, picks)
+    assert r_in == (("a", "a", "b", "b"), ("c", "c"), ("d", "f"))
+    assert r_below == tuple(order[vec] for vec in itertools.product(*picks))
 
 
 def test_join_fixpoint(monkeypatch):
@@ -256,22 +289,25 @@ def test_join_fixpoint(monkeypatch):
     # heavy; instead check on simple synthetic rows that one extra round after
     # ceil(log2(|bag|)) changes nothing
     def mkrow(offsets):
-        return tuple(
-            tuple(
-                tuple(min(t + o, inf) if o is not None else (t if j == i else inf)
-                      for j, o in enumerate(offsets[i]))
-                for t in range(horizon + 1)
-            )
+        # one class per departure time; own entries are inf
+        rows = tuple(
+            tuple(tuple(inf if o is None else min(t + o, inf) for o in offsets[i]) for t in range(horizon + 1))
             for i in range(len(bag))
         )
+        return (tuple(range(horizon + 1)) + (inf,),) * len(bag), rows
+
+    def dense(table):
+        cuts, rows = table
+        counts = (0,) * (len(cuts[0]) ** len(bag))
+        return expand(ctx, twdp.TwState((), cuts, rows, counts, 0))[0]
 
     r1 = mkrow([[None, 1, inf], [inf, None, 1], [inf, inf, None]])
     r2 = mkrow([[None, inf, inf], [1, None, inf], [inf, 1, None]])
     k = join_rounds(len(bag))
-    a = _join_rin(ctx, bag, r1, r2)
+    a = _join_rin(ctx, r1, r2)
     monkeypatch.setattr(twdp, "join_rounds", lambda bag_size: k + 1)
-    b = _join_rin(ctx, bag, r1, r2)
-    assert a == b
+    b = _join_rin(ctx, r1, r2)
+    assert dense(a) == dense(b)
 
 
 def micro_tw_instances(count, seed0=100):
@@ -462,7 +498,7 @@ def test_root_moves_charge_every_edge_once():
         for source in range(g.n):
             root = nice_root(ctx, source)
             for state in root.states:
-                if state.r_below[0] < inst.h - 1:
+                if expand(ctx, state)[1][0] < inst.h - 1:
                     continue
                 images = _collect_images(ctx, root, state)
                 assert sorted(images) == sorted(g.edges)
@@ -599,3 +635,82 @@ def test_delta_past_lifetime_plus_n_answers_as_at_it():
                     huge.answer, huge.source, huge.reach_count)
                 if huge.answer:
                     assert at_cap.perturbation.records == huge.perturbation.records
+
+
+def table_micro_instances(count, seed=5):
+    """Cycles and partial 2-trees on 3-5 vertices with one or two labels per
+    edge from 1..4 (so windows clip at 1 from delta 1 on), delta 0-3, zeta
+    0-2 (at most 1 from delta 2 on)."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(3, 5)
+        if rng.random() < 0.5:
+            edges = {tuple(sorted((i, (i + 1) % n))) for i in range(n)}
+        else:
+            edges = {(0, 1)}
+            for v in range(2, n):
+                a, b = rng.choice(sorted(edges))
+                edges |= {(a, v), (b, v)} if rng.random() < 0.7 else {(a, v)}
+        edges = sorted(edges)
+        labels = [tuple(sorted(rng.sample(range(1, 5), rng.choice((1, 1, 2))))) for _ in edges]
+        g = TemporalGraph(n, tuple(edges), tuple(labels))
+        delta = rng.randint(0, 3)
+        zeta = rng.randint(0, 2 if delta < 2 else 1)  # keeps the tables to seconds
+        out.append(TrlpInstance(g, delta, zeta, rng.randint(2, n)))
+    return out
+
+
+def test_tables_match_processed_subgraph():
+    # every state of every nice node, read through ``expand``: on the
+    # processed subgraph (the subtree's vertices, its edges under the
+    # state's images), r_in is the foremost arrivals in DP time, and r_below
+    # counts the forgotten vertices reached, capped at h.  A count reads
+    # through u's row at an introduce, u's column at a forget and every
+    # column at a join, so it is exact at a closed vector (no departure
+    # reaches a column before that column's own) and at most the count
+    # elsewhere, where a path over a new bag edge may not be read yet.
+    checked = closed = short = 0
+    for inst in table_micro_instances(12):
+        g = inst.graph
+        ctx = _Ctx(inst, WorkCaps(), decompose_exact_small(g.n, g.edges))
+        horizon, inf = ctx.horizon, ctx.inf
+        nodes = {id(node): node for s in range(g.n) for node in nice_nodes(nice_root(ctx, s))}
+        for node in nodes.values():
+            k = len(node.bag)
+            below = set(itertools.chain.from_iterable(x.bag for x in nice_nodes(node)))
+            forgotten = below - set(node.bag)
+            for state in node.states:
+                images = _collect_images(ctx, node, state)
+                assert {v for e in images for v in e} <= below
+                edges = sorted(images)
+                pg = TemporalGraph(g.n, tuple(edges), tuple(images[e] for e in edges))
+                r_in, r_below = expand(ctx, state)
+                # per column and departure (inf: none), the earliest departure
+                # it offers each column and the forgotten vertices it reaches
+                offers = [[(inf,) * k] * (inf + 1) for _ in range(k)]
+                reach = [[0] * (inf + 1) for _ in range(k)]
+                for i, v in enumerate(node.bag):
+                    for t in range(horizon + 1):
+                        a = arrivals(pg, v, min_departure=t + 1)
+                        row = tuple(t if x == v else inf if a[x] is None else a[x] - 1 for x in node.bag)
+                        assert r_in[i][t] == row, (inst, node.bag, state.p, i, t)
+                        offers[i][t] = tuple(t if j == i else x + 1 for j, x in enumerate(row))
+                        reach[i][t] = sum(1 << x for x in forgotten if a[x] is not None)
+                vectors = list(itertools.product(range(inf + 1), repeat=k))
+                assert len(r_below) == len(vectors)
+                for vec, got in zip(vectors, r_below):
+                    seen, earliest = 0, vec
+                    for i, d in enumerate(vec):
+                        seen |= reach[i][d]
+                        earliest = tuple(map(min, earliest, offers[i][d]))
+                    want = min(seen.bit_count(), inst.h)
+                    if earliest == vec:
+                        closed += 1
+                        assert got == want, (inst, node.bag, state.p, vec)
+                    else:
+                        assert got <= want, (inst, node.bag, state.p, vec)
+                        short += got < want
+                    checked += 1
+    # the vectors read, the closed ones, and those whose count is short
+    assert (checked, closed, short) == (283_592, 114_148, 72), (checked, closed, short)
