@@ -20,7 +20,6 @@ temporal graphs" (PVLDB 2014), made bit-parallel over sources, and in
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import islice, pairwise
@@ -146,21 +145,20 @@ def reach_counts(g: TemporalGraph, delta: int = 0) -> list[int]:
     layers: dict[int, list[tuple[int, int]]] = defaultdict(list)
     if delta:
         delta = _useful_delta(g, delta)
-        if g.lifetime + 2 * delta >= g.n:
-            # a run may be longer than n - 1 layers; the active edges change
-            # only where a run starts or ends, and the layers of a stretch
-            # past its first n - 1 change nothing
-            runs = [(e, lo, hi) for e, ts in zip(g.edges, g.labels) for lo, hi in _runs(ts, delta)]
-            bounds = sorted({t for _e, lo, hi in runs for t in (lo, hi + 1)})
-            for e, lo, hi in runs:
-                for a, b in pairwise(bounds[bisect_left(bounds, lo) : bisect_right(bounds, hi + 1)]):
-                    for t in range(a, min(b, a + g.n - 1)):
-                        layers[t].append(e)
-        else:
-            for e, ts in zip(g.edges, g.labels):
-                for lo, hi in _runs(ts, delta):
-                    for t in range(lo, hi + 1):
-                        layers[t].append(e)
+        # the active edges change only where a run starts or ends (an edge's
+        # runs neither overlap nor touch), and the layers of a stretch past its
+        # first n - 1 change nothing
+        flips: dict[int, list[tuple[int, int]]] = defaultdict(list)
+        for e, ts in zip(g.edges, g.labels):
+            for lo, hi in _runs(ts, delta):
+                flips[lo].append(e)
+                flips[hi + 1].append(e)
+        active: set[tuple[int, int]] = set()
+        for a, b in pairwise(sorted(flips)):
+            active.symmetric_difference_update(flips[a])
+            edges = list(active)
+            for t in range(a, min(b, a + g.n - 1)):
+                layers[t] = edges
     else:
         for e, ts in zip(g.edges, g.labels):
             for t in ts:
