@@ -4,6 +4,11 @@ line-stable machine-readable output.
 Exit codes: 0 = yes/valid, 1 = no/invalid, 2 = refusal (a REFUSED line),
 usage error or internal error (a traceback on stderr).  Text mode prints
 fixed-order KEY value lines; ``--json`` mirrors the same fields.
+
+Every command is a ``_Command``, whose ``invoke`` is the one place that exits
+and that decides how an exception leaves a command: a cap or an invalid input
+refuses, click's own exceptions pass through, and anything else is an
+internal error.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 import json
 import sys
 import traceback
-from typing import Callable, Optional
+from typing import Optional
 
 import click
 
@@ -45,7 +50,8 @@ def _load_graph(path: str) -> TemporalGraph:
         return parse_graph(fh.read(), allow_headers=True)
 
 
-def _emit(fields: list[tuple[str, object]], as_json: bool) -> None:
+def _emit(fields: list[tuple[str, object]], ok: bool, as_json: bool) -> int:
+    """Print ``fields``; the exit code is 0 if ``ok`` (yes/valid), else 1."""
     if as_json:
         obj: dict[str, object] = {}
         for key, val in fields:
@@ -61,9 +67,11 @@ def _emit(fields: list[tuple[str, object]], as_json: bool) -> None:
             for key, val in fields
         )
         click.echo("\n".join(lines), file=sys.stdout)
+    return EXIT_YES if ok else EXIT_NO
 
 
-def _result_fields(res: SolveResult) -> list[tuple[str, object]]:
+def _answer(res: SolveResult, as_json: bool) -> int:
+    """Print a solver's result; the exit code is 0 for a yes, 1 for a no."""
     fields: list[tuple[str, object]] = [("ANSWER", "yes" if res.answer else "no")]
     if res.answer:
         fields.append(("SOURCE", res.source))
@@ -74,37 +82,32 @@ def _result_fields(res: SolveResult) -> list[tuple[str, object]]:
             for (u, v), old, new in res.perturbation.moved_records():
                 fields.append(("PERTURB", [u, v, old, new]))
     fields.append(("STRATEGY", res.strategy))
-    return fields
+    return _emit(fields, res.answer, as_json)
 
 
-def _refuse(reason: str, as_json: bool) -> None:
-    if as_json:
-        click.echo(json.dumps({"refused": reason}), file=sys.stdout)
-    else:
-        click.echo(f"REFUSED {reason}", file=sys.stdout)
-    sys.exit(EXIT_ERROR)
+class _Command(click.Command):
+    """A command whose callback returns its exit code (None for 0).  Exiting
+    here, not in the callback, keeps the callback's frame and the graphs in it
+    out of the SystemExit traceback that an in-process caller (CliRunner) keeps."""
 
-
-def _answer(as_json: bool, solve: Callable[[], SolveResult]) -> None:
-    """Print ``solve()``'s result and exit with its code; a cap or an invalid
-    input refuses."""
-    try:
-        res = solve()
-    except (CapExceeded, ValueError) as exc:
-        _refuse(str(exc), as_json)
-    _emit(_result_fields(res), as_json)
-    sys.exit(EXIT_YES if res.answer else EXIT_NO)
+    def invoke(self, ctx: click.Context):
+        try:
+            sys.exit(super().invoke(ctx))
+        except (click.ClickException, click.exceptions.Exit, click.Abort):
+            raise
+        except (CapExceeded, ValueError) as exc:
+            if ctx.params.get("as_json"):
+                click.echo(json.dumps({"refused": str(exc)}), file=sys.stdout)
+            else:
+                click.echo(f"REFUSED {exc}", file=sys.stdout)
+        except Exception:  # an internal error exits 2, never 1, the code of a "no"
+            traceback.print_exc()
+        sys.exit(EXIT_ERROR)
 
 
 class _Main(click.Group):
-    def invoke(self, ctx: click.Context):
-        try:
-            return super().invoke(ctx)
-        except (click.ClickException, click.exceptions.Exit, click.Abort):
-            raise
-        except Exception:  # an internal error exits 2, never 1, the code of a "no"
-            traceback.print_exc()
-            sys.exit(EXIT_ERROR)
+    command_class = _Command
+    group_class = type  # so `gen` and `oracle` make _Command commands too
 
 
 @click.group(cls=_Main)
@@ -120,18 +123,14 @@ def main() -> None:
 @click.option("--strategy", default="auto", type=click.Choice(("auto", *STRATEGIES)))
 @click.option("--decomp", "decomp_path", type=_IN_FILE)
 @click.option("--json", "as_json", is_flag=True)
-def trlp(graph_path, delta, zeta, h, strategy, decomp_path, as_json) -> None:
+def trlp(graph_path, delta, zeta, h, strategy, decomp_path, as_json) -> int:
     """Can some vertex reach at least h vertices after at most zeta moves?"""
-
-    def solve() -> SolveResult:
-        inst = TrlpInstance(_load_graph(graph_path), delta, zeta, h)
-        decomp = None
-        if decomp_path:
-            with open(decomp_path, "r", encoding="utf-8-sig") as fh:
-                decomp = twdp.parse_decomposition(fh.read())
-        return solve_trlp(inst, strategy=strategy, decomposition=decomp)
-
-    _answer(as_json, solve)
+    inst = TrlpInstance(_load_graph(graph_path), delta, zeta, h)
+    decomp = None
+    if decomp_path:
+        with open(decomp_path, "r", encoding="utf-8-sig") as fh:
+            decomp = twdp.parse_decomposition(fh.read())
+    return _answer(solve_trlp(inst, strategy=strategy, decomposition=decomp), as_json)
 
 
 @main.command()
@@ -139,9 +138,9 @@ def trlp(graph_path, delta, zeta, h, strategy, decomp_path, as_json) -> None:
 @click.option("--delta", required=True, type=int)
 @click.option("--h", "h", required=True, type=int)
 @click.option("--json", "as_json", is_flag=True)
-def trp(graph_path, delta, h, as_json) -> None:
+def trp(graph_path, delta, h, as_json) -> int:
     """Unlimited-count variant: every appearance may move by up to delta."""
-    _answer(as_json, lambda: solve_trp(_load_graph(graph_path), delta, h))
+    return _answer(solve_trp(_load_graph(graph_path), delta, h), as_json)
 
 
 @main.command()
@@ -152,32 +151,28 @@ def trp(graph_path, delta, h, as_json) -> None:
 @click.option("--delta", required=True, type=int)
 @click.option("--zeta", required=True, type=int)
 @click.option("--json", "as_json", is_flag=True)
-def ecc(graph_path, source, variant, k, delta, zeta, as_json) -> None:
+def ecc(graph_path, source, variant, k, delta, zeta, as_json) -> int:
     """Can a perturbation bring the source's eccentricity down to k?"""
-    _answer(as_json, lambda: eccmod.solve_ecc_perturbed(
-        eccmod.EccInstance(_load_graph(graph_path), source, k, delta, zeta, variant)))
+    inst = eccmod.EccInstance(_load_graph(graph_path), source, k, delta, zeta, variant)
+    return _answer(eccmod.solve_ecc_perturbed(inst), as_json)
 
 
 @main.command()
 @click.option("-g", "--graph", "graph_path", required=True, type=_IN_FILE)
 @click.option("--source", type=int)
 @click.option("--json", "as_json", is_flag=True)
-def reach(graph_path, source, as_json) -> None:
+def reach(graph_path, source, as_json) -> int:
     """Foremost arrivals from a source, or the best source without one."""
-    try:
-        g = _load_graph(graph_path)
-        if source is None:
-            src, count = max_reachability(g)
-            fields: list[tuple[str, object]] = [("RMAX", count), ("SOURCE", src)]
-        else:
-            tree = foremost_tree(g, source)
-            fields = [("SOURCE", source), ("REACH", tree.count())]
-            for v, a in enumerate(tree.arrival):
-                fields.append(("ARRIVAL", [v, a if a is not None else "inf"]))
-    except ValueError as exc:
-        _refuse(str(exc), as_json)
-    _emit(fields, as_json)
-    sys.exit(EXIT_YES)
+    g = _load_graph(graph_path)
+    if source is None:
+        src, count = max_reachability(g)
+        fields: list[tuple[str, object]] = [("RMAX", count), ("SOURCE", src)]
+    else:
+        tree = foremost_tree(g, source)
+        fields = [("SOURCE", source), ("REACH", tree.count())]
+        for v, a in enumerate(tree.arrival):
+            fields.append(("ARRIVAL", [v, a if a is not None else "inf"]))
+    return _emit(fields, True, as_json)
 
 
 @main.group()
@@ -205,13 +200,9 @@ def _write_trlp_instance(inst: TrlpInstance, out: Optional[str]) -> None:
 def gen_domset(graph_path, r, out) -> None:
     """Reduce a dominating-set question on a static graph: an `n` line and
     `e u v` lines; any labels after `e u v` are ignored."""
-    try:
-        with open(graph_path, "r", encoding="utf-8-sig") as fh:
-            sg = _parse_static(fh.read())
-        inst = testkit.domset_to_trlp(sg, r)
-    except ValueError as exc:
-        _refuse(str(exc), False)
-    _write_trlp_instance(inst, out)
+    with open(graph_path, "r", encoding="utf-8-sig") as fh:
+        sg = _parse_static(fh.read())
+    _write_trlp_instance(testkit.domset_to_trlp(sg, r), out)
 
 
 def _parse_static(text: str) -> testkit.StaticGraph:
@@ -277,12 +268,8 @@ def gen_sat_tfaep(cnf_path, k, delta, out) -> None:
 
 
 def _write_gadget(cnf_path, reduction, k, delta, out) -> None:
-    try:
-        with open(cnf_path, "r", encoding="utf-8-sig") as fh:
-            f = testkit.parse_dimacs(fh.read())
-        inst = reduction(f, k, delta)
-    except ValueError as exc:
-        _refuse(str(exc), False)
+    with open(cnf_path, "r", encoding="utf-8-sig") as fh:
+        inst = reduction(testkit.parse_dimacs(fh.read()), k, delta)
     text = serialize_graph(inst.graph) + (
         f"delta {inst.delta}\nzeta {inst.zeta}\nk {inst.k}\n"
         f"source {inst.source}\nvariant {inst.variant}\n"
@@ -308,21 +295,18 @@ def gen_random(profile, seed, out) -> None:
 @click.option("--variant", type=click.Choice(["shortest", "fastest"]))
 @click.option("-k", "--k", "k", type=int)
 @click.option("--json", "as_json", is_flag=True)
-def verify(graph_path, pert_path, source, h, variant, k, as_json) -> None:
+def verify(graph_path, pert_path, source, h, variant, k, as_json) -> int:
     """Re-check a claimed certificate: bounds, then reach >= h or ecc <= k."""
-    try:
-        g = _load_graph(graph_path)
-        with open(pert_path, "r", encoding="utf-8-sig") as fh:
-            p = parse_perturbation(fh.read())
-        if not (0 <= source < g.n):
-            raise ValueError(f"source {source} out of range")
-        if h is not None and not (1 <= h <= g.n):
-            raise ValueError(f"h must be in [1, n], got {h}")
-        if h is None and k is not None and k < 0:
-            raise ValueError("k must be nonnegative")
-        perturbed = apply_perturbation(g, p)
-    except ValueError as exc:
-        _refuse(str(exc), as_json)
+    g = _load_graph(graph_path)
+    with open(pert_path, "r", encoding="utf-8-sig") as fh:
+        p = parse_perturbation(fh.read())
+    if not (0 <= source < g.n):
+        raise ValueError(f"source {source} out of range")
+    if h is not None and not (1 <= h <= g.n):
+        raise ValueError(f"h must be in [1, n], got {h}")
+    if h is None and k is not None and k < 0:
+        raise ValueError("k must be nonnegative")
+    perturbed = apply_perturbation(g, p)
     fields: list[tuple[str, object]] = []
     ok, reason = True, None
     if h is not None:
@@ -336,12 +320,11 @@ def verify(graph_path, pert_path, source, h, variant, k, as_json) -> None:
         if val is None or val > k:
             ok, reason = False, f"eccentricity above k={k}"
     else:
-        _refuse("need --h or (--variant and -k)", as_json)
+        raise ValueError("need --h or (--variant and -k)")
     head = [("RESULT", "VALID" if ok else "INVALID")]
     if reason:
         head.append(("REASON", reason))
-    _emit(head + fields, as_json)
-    sys.exit(EXIT_YES if ok else EXIT_NO)
+    return _emit(head + fields, ok, as_json)
 
 
 @main.group()
@@ -355,9 +338,9 @@ def oracle() -> None:
 @click.option("--zeta", required=True, type=int)
 @click.option("--h", "h", required=True, type=int)
 @click.option("--json", "as_json", is_flag=True)
-def oracle_trlp_cmd(graph_path, delta, zeta, h, as_json) -> None:
-    _answer(as_json, lambda: testkit.oracle_trlp(
-        TrlpInstance(_load_graph(graph_path), delta, zeta, h)))
+def oracle_trlp_cmd(graph_path, delta, zeta, h, as_json) -> int:
+    inst = TrlpInstance(_load_graph(graph_path), delta, zeta, h)
+    return _answer(testkit.oracle_trlp(inst), as_json)
 
 
 @oracle.command("ecc")
@@ -368,9 +351,9 @@ def oracle_trlp_cmd(graph_path, delta, zeta, h, as_json) -> None:
 @click.option("--delta", required=True, type=int)
 @click.option("--zeta", required=True, type=int)
 @click.option("--json", "as_json", is_flag=True)
-def oracle_ecc_cmd(graph_path, source, variant, k, delta, zeta, as_json) -> None:
-    _answer(as_json, lambda: testkit.oracle_ecc(
-        eccmod.EccInstance(_load_graph(graph_path), source, k, delta, zeta, variant)))
+def oracle_ecc_cmd(graph_path, source, variant, k, delta, zeta, as_json) -> int:
+    inst = eccmod.EccInstance(_load_graph(graph_path), source, k, delta, zeta, variant)
+    return _answer(testkit.oracle_ecc(inst), as_json)
 
 
 if __name__ == "__main__":

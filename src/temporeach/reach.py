@@ -144,7 +144,6 @@ def reach_counts(g: TemporalGraph, delta: int = 0) -> list[int]:
     times with the same active edges makes at most n - 1 layers."""
     layers: dict[int, list[tuple[int, int]]] = defaultdict(list)
     if delta:
-        delta = _useful_delta(g, delta)
         # the active edges change only where a run starts or ends (an edge's
         # runs neither overlap nor touch), and the layers of a stretch past its
         # first n - 1 change nothing

@@ -11,7 +11,8 @@ the first non-comment line is ``n <count>``, and every following line is
 ``e <u> <v> <t1> <t2> ...`` with ``u < v`` and times strictly increasing.
 
 The ``TemporalGraph`` constructor checks a whole graph; ``parse_graph`` checks
-each line once, ``with_labels`` its new labels, and both build unchecked.
+each line once, ``with_labels`` its new labels and ``apply_perturbation`` its
+records, and each builds unchecked.
 
 Perturbation files: header lines ``delta <d>`` and ``zeta <z>`` followed by
 ``p <u> <v> <old> <new>`` lines.
@@ -275,8 +276,9 @@ def serialize_perturbation(p: Perturbation) -> str:
     return "\n".join(out) + "\n"
 
 
-def check_perturbation(g: TemporalGraph, p: Perturbation) -> None:
-    """Raise PerturbationError naming the first offending record, if any."""
+def check_perturbation(g: TemporalGraph, p: Perturbation) -> tuple[tuple[int, ...], ...]:
+    """Raise PerturbationError naming the first offending record, if any, and
+    else return g's labels with the records applied."""
     by_edge: dict[Edge, dict[int, int]] = {}
     for e, old, new in p.records:
         if e not in g.edge_index:
@@ -292,30 +294,25 @@ def check_perturbation(g: TemporalGraph, p: Perturbation) -> None:
         if old in moves:
             raise PerturbationError(f"record {e} {old}->{new}: duplicate record for this appearance")
         moves[old] = new
+    labels = list(g.labels)
     for e, moves in by_edge.items():
-        ts = g.labels[g.edge_index[e]]
-        result = [moves.get(t, t) for t in ts]
+        i = g.edge_index[e]
+        result = sorted(moves.get(t, t) for t in labels[i])
         if len(set(result)) != len(result):
             raise PerturbationError(
-                f"records on edge {e}: resulting labels {sorted(result)} are not pairwise distinct"
+                f"records on edge {e}: resulting labels {result} are not pairwise distinct"
             )
+        labels[i] = tuple(result)
     if p.perturbed_count > p.zeta:
         raise PerturbationError(
             f"{p.perturbed_count} moved time-edges exceed the declared zeta={p.zeta}"
         )
+    return tuple(labels)
 
 
 def apply_perturbation(g: TemporalGraph, p: Perturbation) -> TemporalGraph:
     """Return the relabelled graph; edge set and per-edge label counts are unchanged."""
-    check_perturbation(g, p)
-    moves: dict[Edge, dict[int, int]] = {}
-    for e, old, new in p.records:
-        moves.setdefault(e, {})[old] = new
-    new_labels = {
-        e: tuple(sorted(m.get(t, t) for t in g.labels[g.edge_index[e]]))
-        for e, m in moves.items()
-    }
-    return g.with_labels(new_labels)
+    return g._relabelled(check_perturbation(g, p))
 
 
 def window(t: int, delta: int) -> range:
@@ -326,7 +323,9 @@ def window(t: int, delta: int) -> range:
 def _useful_delta(g: TemporalGraph, delta: int) -> int:
     """delta, or lifetime + n if smaller: every time in [1, T+n+1] then lies
     in every window, and no journey needs a later one (at most n-1 edges
-    follow the last label), so a larger delta reaches nothing more."""
+    follow the last label), so a larger delta reaches nothing more.
+    ``reach.SubsetSweep``, ``treedp`` and ``twdp`` cap delta with it, since
+    their work grows with the windows' length."""
     return min(delta, g.lifetime + g.n)
 
 

@@ -544,14 +544,30 @@ def test_dp_answers_follow_shifted_labels(runner, tmp_path, text, strategy, zeta
     assert unshifted == base
 
 
-def test_internal_error_exits_two(runner, tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "target, args",
+    [
+        ("temporeach.cli.solve_trlp",
+         ["trlp", "-g", "{g}", "--delta", "1", "--zeta", "1", "--h", "3"]),
+        ("temporeach.cli.max_reachability", ["reach", "-g", "{g}"]),
+        ("temporeach.cli.reach_set",
+         ["verify", "-g", "{g}", "-p", "{p}", "--source", "0", "--h", "1"]),
+        ("temporeach.testkit.random_instance",
+         ["gen", "random", "--profile", "tree", "--seed", "0"]),
+        ("temporeach.testkit.oracle_ecc",
+         ["oracle", "ecc", "-g", "{g}", "--source", "0", "--variant", "shortest", "-k", "1",
+          "--delta", "1", "--zeta", "1"]),
+    ],
+    ids=["trlp", "reach", "verify", "gen-random", "oracle-ecc"],
+)
+def test_internal_error_exits_two(runner, tmp_path, monkeypatch, target, args):
     # exit 1 means "no": an exception that is not a refusal must not read as one
     def broken(*args, **kwargs):
         raise RuntimeError("broken solver")
 
-    monkeypatch.setattr("temporeach.cli.solve_trlp", broken)
-    args = ["trlp", "-g", write(tmp_path, "g.tg", PATH_TG), "--delta", "1", "--zeta", "1", "--h", "3"]
-    res = runner.invoke(main, args)
+    monkeypatch.setattr(target, broken)
+    paths = {"g": write(tmp_path, "g.tg", PATH_TG), "p": write(tmp_path, "p.txt", "delta 0\nzeta 0\n")}
+    res = runner.invoke(main, [arg.format(**paths) for arg in args])
     assert res.exit_code == 2
     assert res.stdout == ""
     assert "Traceback" in res.stderr and "RuntimeError: broken solver" in res.stderr
@@ -634,11 +650,25 @@ def test_verify_without_a_threshold_refused(runner, tmp_path, check):
     assert res.output == "REFUSED need --h or (--variant and -k)\n"
 
 
-def test_json_refusal_line(runner, tmp_path):
-    gpath = write(tmp_path, "g.tg", PATH_TG)
-    res = runner.invoke(main, ["trlp", "-g", gpath, "--delta", "1", "--zeta", "1", "--h", "9", "--json"])
+@pytest.mark.parametrize(
+    "graph, args, line",
+    [
+        (PATH_TG, ["trlp", "--delta", "1", "--zeta", "1", "--h", "9"],
+         '{"refused": "h must be in [1, n], got 9"}'),
+        ("n 0\n", ["reach"], '{"refused": "graph has no vertices"}'),
+        (PATH_TG, ["verify", "-p", "{p}", "--source", "7", "--h", "1"],
+         '{"refused": "source 7 out of range"}'),
+        (PATH_TG, ["trp", "--delta", "-1", "--h", "1"],
+         '{"refused": "delta must be nonnegative"}'),
+    ],
+    ids=["trlp", "reach", "verify", "trp"],
+)
+def test_json_refusal_line(runner, tmp_path, graph, args, line):
+    ppath = write(tmp_path, "p.txt", "delta 0\nzeta 0\n")
+    argv = [arg.format(p=ppath) for arg in args]
+    res = runner.invoke(main, [*argv, "-g", write(tmp_path, "g.tg", graph), "--json"])
     assert res.exit_code == 2
-    assert res.output == '{"refused": "h must be in [1, n], got 9"}\n'
+    assert res.output == line + "\n"
 
 
 @pytest.mark.parametrize(

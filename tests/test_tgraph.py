@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,9 @@ from temporeach.tgraph import (
     serialize_graph,
     serialize_perturbation,
     validate_relabelling,
+    window,
 )
+from temporeach.testkit import PROFILES, random_instance
 
 
 def test_parse_basic():
@@ -178,8 +181,9 @@ def test_apply_identity():
 def test_apply_rejects_collision():
     g = parse_graph("n 2\ne 0 1 2 3")
     p = Perturbation(1, 1, (((0, 1), 2, 3),))
-    with pytest.raises(PerturbationError):
+    with pytest.raises(PerturbationError) as info:
         apply_perturbation(g, p)
+    assert str(info.value) == "records on edge (0, 1): resulting labels [3, 3] are not pairwise distinct"
 
 
 def test_apply_allows_swap():
@@ -191,15 +195,66 @@ def test_apply_allows_swap():
 
 def test_apply_rejects_out_of_window():
     g = parse_graph("n 2\ne 0 1 2")
-    with pytest.raises(PerturbationError):
+    with pytest.raises(PerturbationError) as info:
         apply_perturbation(g, Perturbation(1, 1, (((0, 1), 2, 4),)))
+    assert str(info.value) == "record (0, 1) 2->4: new time outside [max(1,2-1), 2+1]"
 
 
 def test_apply_rejects_over_budget():
     g = parse_graph("n 3\ne 0 1 2\ne 1 2 2")
     p = Perturbation(1, 1, (((0, 1), 2, 3), ((1, 2), 2, 3)))
-    with pytest.raises(PerturbationError):
+    with pytest.raises(PerturbationError) as info:
         apply_perturbation(g, p)
+    assert str(info.value) == "2 moved time-edges exceed the declared zeta=1"
+
+
+@pytest.mark.parametrize(
+    "text, records, zeta, message",
+    [
+        ("n 3\ne 0 1 2", (((0, 2), 2, 3),), 1, "record (0, 2) 2->3: no such edge"),
+        ("n 2\ne 0 1 2", (((0, 1), 5, 4),), 1, "record (0, 1) 5->4: 5 is not a label of (0, 1)"),
+        ("n 2\ne 0 1 2", (((0, 1), 2, 0),), 1,
+         "record (0, 1) 2->0: new time outside [max(1,2-1), 2+1]"),
+        ("n 2\ne 0 1 2", (((0, 1), 2, 1), ((0, 1), 2, 3)), 2,
+         "record (0, 1) 2->3: duplicate record for this appearance"),
+    ],
+    ids=["edge", "label", "floor", "duplicate"],
+)
+def test_apply_rejects_each_bad_record(text, records, zeta, message):
+    with pytest.raises(PerturbationError) as info:
+        apply_perturbation(parse_graph(text), Perturbation(1, zeta, records))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+def test_apply_matches_with_labels(profile):
+    # the one check apply_perturbation makes must build the graph with_labels
+    # builds from the same records
+    rng = random.Random(profile)
+    applied = 0
+    for seed in range(60):
+        g = random_instance(seed, profile).graph
+        appearances = [(e, t) for e, ts in zip(g.edges, g.labels) for t in ts]
+        if not appearances:
+            continue
+        for _ in range(5):
+            delta = rng.randint(0, 3)
+            picked = rng.sample(appearances, rng.randint(1, min(3, len(appearances))))
+            records = tuple((e, t, rng.choice(window(t, delta))) for e, t in picked)
+            p = Perturbation(delta, len(records), records)
+            moves = {}
+            for e, old, new in records:
+                moves.setdefault(e, {})[old] = new
+            new_labels = {e: [m.get(t, t) for t in g.edge_labels(*e)] for e, m in moves.items()}
+            if any(len(set(ts)) < len(ts) for ts in new_labels.values()):
+                with pytest.raises(PerturbationError):
+                    apply_perturbation(g, p)
+                continue
+            pg = apply_perturbation(g, p)
+            assert pg == g.with_labels(new_labels)
+            assert pg.adjacency is g.adjacency
+            applied += 1
+    assert applied >= 100
 
 
 def test_validate_relabelling_examples():
