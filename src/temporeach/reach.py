@@ -20,12 +20,13 @@ temporal graphs" (PVLDB 2014), made bit-parallel over sources, and in
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import islice, pairwise
 from typing import Iterator, Optional
 
-from .tgraph import TemporalGraph, _useful_delta, next_expanded_after, next_label_after
+from .tgraph import TemporalGraph, next_expanded_after, next_label_after
 
 ALL_EDGES = "all"
 
@@ -174,10 +175,18 @@ class SubsetSweep:
 
     def __init__(self, g: TemporalGraph, delta: int):
         self.g, self.width = g, max(8, 1 << (g.n - 1).bit_length())
-        delta = _useful_delta(g, delta)
+        # as in reach_counts: every field's active edges change only where a
+        # run starts or ends or a label begins or ends, and the layers of a
+        # stretch past its first n - 1 change nothing
+        runs = [list(_runs(ts, delta)) for ts in g.labels]
+        cuts = {t for ts in g.labels for t in ts}
+        cuts.update([t + 1 for t in cuts])
+        cuts.update([t for rs in runs for lo, hi in rs for t in (lo, hi + 1)])
+        kept = [t for a, b in pairwise(sorted(cuts)) for t in range(a, min(b, a + g.n - 1))]
         self.extra = [
-            [t for lo, hi in _runs(ts, delta) for t in range(lo, hi + 1) if t not in ts]
-            for ts in g.labels
+            [t for lo, hi in rs for t in kept[bisect_left(kept, lo):bisect_right(kept, hi)]
+             if t not in ts]
+            for ts, rs in zip(g.labels, runs)
         ]
         self.layers: dict[int, list[tuple[int, int]]] = {t: [] for ts in self.extra for t in ts}
         for e, ts in zip(g.edges, g.labels):

@@ -18,12 +18,12 @@ reached or eccentricity 0.
 There are two walks, two visit orders over one set-up (``_walk``).  It keeps
 one label array, one entry per edge, and one slot per appearance: at its
 label, active across its whole ±delta window, or at one time of it; all
-start windowed.  At delta 0 nothing can move, so the set-up walks no
-appearance and g is the one perturbation.  One target loop decides a given
-sequence of appearances in turn.  Each tries its times (in the scan, its
-window without its label; in the value walk, its label first, then the rest
-of its window), skips any time its edge already holds, and is windowed again
-afterwards.  ``keep`` sees each relaxation the loop narrows, except at the
+start windowed.  At delta 0 or zeta 0 nothing can move, so the set-up
+walks no appearance and g is the one perturbation.  One target loop decides
+a given sequence of appearances in turn.  Each tries its times (in the scan,
+its window without its label; in the value walk, its label first, then the
+rest of its window), skips any time its edge already holds, and is windowed
+again afterwards.  ``keep`` sees each relaxation the loop narrows, except at the
 last appearance, whose graph goes to ``on_complete``, and except where the
 edge's labels did not change: that graph is the relaxation the loop started
 from.  Each change to a slot re-sorts only that edge's labels.
@@ -199,8 +199,8 @@ def _walk(
 ) -> bool:
     """The set-up both walks share, visited in the ordered scan's order or
     the value walk's (see the module docstring)."""
-    # at delta 0 nothing can move: g is the one perturbation
-    apps = _appearances(g, eset)[:None if delta else 0]
+    # at delta 0 or zeta 0 nothing can move: g is the one perturbation
+    apps = _appearances(g, eset)[:None if delta and zeta else 0]
     windows = [window(t, delta) for _ei, t in apps]
     # the times the target loop tries: the value walk's label first, then the
     # rest of the window

@@ -324,8 +324,13 @@ def _useful_delta(g: TemporalGraph, delta: int) -> int:
     """delta, or lifetime + n if smaller: every time in [1, T+n+1] then lies
     in every window, and no journey needs a later one (at most n-1 edges
     follow the last label), so a larger delta reaches nothing more.
-    ``reach.SubsetSweep``, ``treedp`` and ``twdp`` cap delta with it, since
-    their work grows with the windows' length."""
+    ``treedp`` and ``twdp`` cap delta with it before ``compress_time``.
+    ``twdp`` needs the cap: its label images (every tuple of window times)
+    and ``_star_rows``' rows (one per departure time) grow with the windows'
+    length.  ``treedp``'s tables change only at event times and ``reach``'s
+    sweeps keep at most n - 1 layers of each stretch, so their work does not;
+    ``testkit``'s oracles, which list every window time, grow with it
+    whenever delta and zeta are both above 0."""
     return min(delta, g.lifetime + g.n)
 
 

@@ -1,10 +1,16 @@
 import gc
 import itertools
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner, _NamedTextIOWrapper
 
+import temporeach
 from temporeach.cli import main
 from temporeach.solvers import xp_work_estimate
 from temporeach.testkit import enumeration_size
@@ -688,3 +694,30 @@ def test_oracle_ecc_command(runner, tmp_path, variant, k, code, output):
     res = runner.invoke(main, ["oracle", "ecc", "-g", gpath, "--source", "0", "--variant", variant,
                                "-k", str(k), "--delta", "2", "--zeta", "1"])
     assert (res.exit_code, res.output) == (code, output)
+
+
+def run_limited(argv, limit=1 << 30):
+    """The CLI's (exit code, stdout) for ``argv``, run in a child
+    process whose address space is capped at ``limit`` bytes."""
+    cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+    env = {**os.environ, "PYTHONPATH": str(Path(temporeach.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", "from temporeach.cli import main; main()", *argv],
+                          capture_output=True, text=True, timeout=60, env=env, preexec_fn=cap)
+    return proc.returncode, proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv, output",
+    [
+        (["oracle", "ecc", "--source", "0", "--variant", "shortest", "-k", "2"],
+         "ANSWER yes\nSOURCE 0\nECC 2\nREACH 5\nSTRATEGY oracle\n"),
+        (["trlp", "--strategy", "oracle", "--h", "5"],
+         "ANSWER yes\nSOURCE 0\nREACH 5\nSTRATEGY oracle\n"),
+    ],
+    ids=["oracle-ecc", "trlp-oracle"],
+)
+def test_oracle_at_zeta_zero_lists_no_window(tmp_path, argv, output):
+    # at zeta 0 nothing can move, so the oracle must not list a window of
+    # 2e9 + 1 times per appearance: that ran out of a 1 GB address space
+    gpath = write(tmp_path, "g.tg", "n 5\ne 0 1 1\ne 0 2 2 3\ne 0 3 2\ne 1 2 3\ne 2 3 1\ne 2 4 1 3\n")
+    assert run_limited([*argv, "-g", gpath, "--delta", "1000000000", "--zeta", "0"]) == (0, output)

@@ -16,7 +16,7 @@ from temporeach.reach import (
 )
 from temporeach import reach
 from temporeach.cli import main
-from temporeach.solvers import ALL_EDGES, _explore
+from temporeach.solvers import ALL_EDGES, TrlpInstance, _explore, solve_trlp
 from temporeach.tgraph import TemporalGraph, parse_graph
 
 from test_tgraph import temporal_graphs
@@ -293,3 +293,40 @@ def test_sweeps_at_huge_delta_match_lifetime_plus_n():
         subsets = [(), tuple(i for i in range(len(g.edges)) if rng.random() < 0.5)]
         assert reach_counts(g, 10**9) == reach_counts(g, cap), g
         assert sweep_all(g, 10**9, subsets) == sweep_all(g, cap, subsets), g
+
+
+def test_subset_sweep_caps_long_stretches():
+    # windows far longer than n - 1 layers: a stretch of unchanged active
+    # edges keeps only its first n - 1 layers, and every field still holds
+    # its subset's reach sets
+    rng = random.Random(2026_29)
+    for _ in range(150):
+        g = seeded_micro_graph(rng)
+        subsets = [(), tuple(i for i in range(len(g.edges)) if rng.random() < 0.5)]
+        subsets += [(i,) for i in range(len(g.edges))]
+        check_subset_sweep(g, rng.randint(4, 12), sorted(set(subsets)), len(subsets))
+    # paths whose edges all have label 20: with the first k < n - 1 edges
+    # moved, 0 reaches vertex k + 1 only in k hops before time 20, so the
+    # stretch before the label must keep n - 2 of its layers
+    for n in (5, 7, 9):
+        g = TemporalGraph(n, tuple((v, v + 1) for v in range(n - 1)), ((20,),) * (n - 1))
+        subsets = [tuple(range(k)) for k in range(n)]
+        check_subset_sweep(g, 15, subsets, len(subsets))
+
+
+def test_forced_xp_sweeps_do_not_grow_with_delta(monkeypatch):
+    # the 4-vertex path of the large-label probe: below the labels' spread,
+    # delta moves its window runs but not the layers each sweep makes, where
+    # one layer per window time grows with it
+    g = parse_graph("n 4\ne 0 1 2000000\ne 1 2 1000000\ne 2 3 3000000\n")
+    seen = []
+    for delta in (10**3, 10**5):
+        layers = []
+        sweep = reach._sweep
+        with monkeypatch.context() as m:
+            m.setattr(reach, "_sweep",
+                      lambda fwd, ls, masked: layers.append(len(ls)) or sweep(fwd, ls, masked))
+            res = solve_trlp(TrlpInstance(g, delta, 1, 4), "xp")
+        seen.append((res.answer, res.source, res.reach_count, res.perturbation.records, layers))
+    assert seen[0] == seen[1]
+    assert seen[0][:3] == (True, 1, 4)

@@ -5,15 +5,19 @@ and certificates (their times moved by s), on the same time axis and after
 the same work.  ``trp`` and forced ``xp`` give the same results after the
 same reach sweeps: at delta >= n every window run is longer than n - 1
 layers, and ``reach_counts`` sweeps each stretch of unchanged active edges
-in at most n - 1 of them, wherever it lies."""
+in at most n - 1 of them, wherever it lies.  ``oracle_trlp`` walks the same
+perturbations in the same order: no window is clipped at 1, so every
+window, and so every move, is shifted by s."""
 
 import itertools
 from dataclasses import replace
 
 from temporeach import reach, treedp, twdp
 from temporeach.solvers import TrlpInstance, solve_trlp, solve_trp
-from temporeach.testkit import random_instance
+from temporeach.testkit import PROFILES, oracle_trlp, random_instance
 from temporeach.tgraph import compress_time, parse_graph
+
+from test_scan_work import logged
 
 SHIFTS = (1, 5, 10**9)
 
@@ -119,3 +123,21 @@ def test_shifted_labels_change_no_reach_sweep(monkeypatch):
     # layers each, where one layer per window time would make 61
     res, work = run(TrlpInstance(shifted(PATH3, 20), 20, 0, 3), "trp", monkeypatch)
     assert res.answer and work == [6]
+
+
+def oracle_run(inst):
+    """``oracle_trlp``'s result, with its walks' keep and on_complete counts."""
+    out = []
+    keeps, completes, _digest = logged(lambda: out.append(oracle_trlp(inst)))
+    return out[0], (keeps, completes)
+
+
+def test_shifted_labels_change_no_oracle_walk():
+    for profile, seed in itertools.product(PROFILES, range(30)):
+        delta = seed % 3
+        g = shifted(random_instance(seed, profile).graph, delta)
+        for zeta, h in itertools.product(range(3), range(1, g.n + 1)):
+            base = oracle_run(TrlpInstance(g, delta, zeta, h))
+            for s in SHIFTS:
+                res, work = oracle_run(TrlpInstance(shifted(g, s), delta, zeta, h))
+                assert (unshift(res, s), work) == base, (g, delta, zeta, h, s)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from temporeach.reach import arrivals
-from temporeach.solvers import TrlpInstance
+from temporeach.solvers import TrlpInstance, solve_trlp
 from temporeach import treedp
 from temporeach.tgraph import (
     Perturbation,
@@ -16,7 +16,7 @@ from temporeach.tgraph import (
     parse_graph,
 )
 from temporeach.testkit import oracle_trlp_max_reach, random_instance
-from temporeach.treedp import _merge, _reconstruct, _table, solve_trlp_tree
+from temporeach.treedp import _child_row, _column, _merge, _reconstruct, _table, solve_trlp_tree
 
 
 # --- max-plus merge of child rows -----------------------------------------------
@@ -97,8 +97,8 @@ def test_tree_path_per_source():
     g = parse_graph("n 3\ne 0 1 2\ne 1 2 1")
     inst = TrlpInstance(g, 1, 1, 3)
     tables = {}
-    assert _table(inst, tables, 0, -1)[1][0] < 3  # only source 1 works here
-    assert _table(inst, tables, 1, -1)[1][0] == 3
+    assert _column(_table(inst, tables, 0, -1), 0)[1] < 3  # only source 1 works here
+    assert _column(_table(inst, tables, 1, -1), 0)[1] == 3
     res = solve_trlp_tree(inst)
     assert res.answer and res.source == 1 and res.reach_count == 3
 
@@ -128,12 +128,13 @@ def test_tree_state_monotonicity_and_maximality():
     tables = all_tables(inst)
     assert len(tables) == 3 * g.n - 2
     for table in tables.values():
+        columns = [_column(table, t) for t in range(horizon + 2)]
         for z in range(inst.zeta + 1):
             for t in range(horizon):
-                assert table[z][t] >= table[z][t + 1]
+                assert columns[t][z] >= columns[t + 1][z]
             if z < inst.zeta:
                 for t in range(horizon + 1):
-                    assert table[z + 1][t] >= table[z][t]
+                    assert columns[t][z + 1] >= columns[t][z]
 
 
 def seeded_tree(rng, n, max_labels, offset):
@@ -144,6 +145,74 @@ def seeded_tree(rng, n, max_labels, offset):
         for _ in edges
     )
     return TemporalGraph(n, tuple(edges), labels)
+
+
+def dense_tables(inst):
+    """Every table of every root as value[t][z] for t = 0..horizon+1, built
+    by one merge per departure time, the loop that the event tables replaced;
+    a child's dense table is read as a step function with a column at every
+    time."""
+    g, zeta, delta, h = inst.graph, inst.zeta, inst.delta, inst.h
+    horizon = g.lifetime + delta
+    every = list(range(horizon + 2))
+    dense = {}
+
+    def build(v, parent):
+        children = [(c, g.labels[ei]) for c, ei in g.adjacency[v] if c != parent]
+        for c, _ in children:
+            if (c, v) not in dense:
+                build(c, v)
+        columns = []
+        for t in range(horizon + 1):
+            rows = [_child_row(labels, t, zeta, delta, (every, dense[(c, v)])) for c, labels in children]
+            totals, _picks = _merge(rows, zeta)
+            columns.append(tuple(min(1 + total, h) for total in totals))
+        dense[(v, parent)] = columns + [(1,) * (zeta + 1)]
+
+    for source in range(g.n):
+        build(source, -1)
+    return dense
+
+
+def test_event_tables_match_dense_tables():
+    # labels from 1 (windows clipped at 1), 4 and 40 on, delta 0..6: every
+    # cell of every table equals the per-time loop's, and a table keeps one
+    # column per change, from time 0 to the all-ones column
+    rng = random.Random("event-tables")
+    for _ in range(500):
+        g = seeded_tree(rng, rng.randint(1, 8), 3, rng.choice((1, 4, 40)))
+        inst = TrlpInstance(g, rng.randint(0, 6), rng.randint(0, 3), rng.randint(1, g.n))
+        horizon = g.lifetime + inst.delta
+        tables, dense = all_tables(inst), dense_tables(inst)
+        assert tables.keys() == dense.keys()
+        for key, (times, columns) in tables.items():
+            assert times[0] == 0 and columns[-1] == (1,) * (inst.zeta + 1)
+            assert all(a < b for a, b in itertools.pairwise(times)) and times[-1] <= horizon + 1
+            assert all(a != b for a, b in itertools.pairwise(columns))
+            assert [_column((times, columns), t) for t in range(horizon + 2)] == dense[key]
+
+
+def test_tree_tables_do_not_grow_with_delta(monkeypatch):
+    # the path of the large-label probes: below the labels' spread, delta
+    # moves the tables' event times but not their number, where a column per
+    # departure time grows with it
+    g = parse_graph("n 3\ne 0 1 2000000\ne 1 2 1000000\n")
+    seen = []
+    for delta in (10**3, 10**4):
+        widths = []
+        real = treedp._table
+
+        def recorded(inst, tables, v, parent):
+            out = real(inst, tables, v, parent)
+            widths.append((v, parent, len(out[0])))
+            return out
+
+        with monkeypatch.context() as m:
+            m.setattr(treedp, "_table", recorded)
+            res = solve_trlp(TrlpInstance(g, delta, 1, 3), "tree")
+        seen.append((res.answer, res.source, res.reach_count, res.perturbation.records, widths))
+    assert seen[0] == seen[1]
+    assert seen[0][:3] == (True, 1, 3)
 
 
 def test_shared_tables_equal_fresh_per_source():
@@ -233,7 +302,7 @@ def test_tree_state_witness_soundness():
                     count = sum(
                         1 for a in arrivals(pg, v, min_departure=t) if a is not None
                     )
-                    assert count >= table[z][t]
+                    assert count >= _column(table, t)[z]
 
 
 def test_tree_matches_oracle_sweep():
